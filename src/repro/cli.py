@@ -393,9 +393,11 @@ def _run_trace(args: argparse.Namespace) -> int:
 def _run_profile(args: argparse.Namespace) -> int:
     """Profile one scenario: per-phase wall-time + cProfile hot spots.
 
-    The phase breakdown splits the run's wall-clock between the fleet
-    physics step (``FleetDriver.physics_wall_s``) and the four control
-    stages, whose durations every :class:`TickTrace` already records;
+    The phase breakdown splits the run's wall-clock between the two
+    halves of the per-step physics barrier — the fleet physics step
+    (``FleetDriver.physics_wall_s``) and the breaker observation
+    (``FleetDriver.breakers_wall_s``) — and the four control stages,
+    whose durations every :class:`TickTrace` already records;
     everything else (event dispatch, RPC fabric, telemetry) lands in
     ``other``.
     """
@@ -458,6 +460,7 @@ def _run_profile(args: argparse.Namespace) -> int:
     traces = world.dynamo.traces.latest()
     phases = [
         ("physics", world.driver.physics_wall_s),
+        ("breakers", world.driver.breakers_wall_s),
         ("sense", sum(t.sense_duration_s for t in traces)),
         ("aggregate", sum(t.aggregate_duration_s for t in traces)),
         ("decide", sum(t.decide_duration_s for t in traces)),
@@ -494,6 +497,9 @@ def _profile_sharded(world, args: argparse.Namespace, end_s: float) -> int:
         wall_s = time_module.perf_counter() - t0
         stats = sharded.worker_stats()
         phase_wall = dict(sharded.wall)
+        # The parent observes every breaker itself (thermal state is
+        # replicated, not exchanged), inside its share of the step.
+        breakers_s = sharded.world.driver.breakers_wall_s
         now_s = sharded.now_s
     print(
         f"profiled {args.scenario!r} (sharded x{args.shards}) "
@@ -501,7 +507,8 @@ def _profile_sharded(world, args: argparse.Namespace, end_s: float) -> int:
     )
     print()
     phases = [
-        ("shard step", phase_wall["shard_step_s"]),
+        ("shard step", phase_wall["shard_step_s"] - breakers_s),
+        ("breakers", breakers_s),
         ("aggregate exchange", phase_wall["exchange_s"]),
         ("coordinator decide", phase_wall["coordinator_s"]),
     ]

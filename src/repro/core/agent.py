@@ -16,6 +16,8 @@ keeping the agent logic hardware-agnostic (Section VI).
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro.core.messages import CapRequest, CapResponse, PowerReading
 from repro.errors import AgentError, CappingError
 from repro.rpc.service import RpcService
@@ -65,6 +67,7 @@ class DynamoAgent:
         self._service.method("read_power", self._handle_read_power)
         self._service.method("set_cap", self._handle_set_cap)
         self._soa = None
+        self._health_listener = None
         self._healthy = True
         self.reads_served = 0
         self.caps_applied = 0
@@ -79,13 +82,23 @@ class DynamoAgent:
         """Whether the agent process is up."""
         return self._healthy
 
+    #: Called with ``(agent, healthy)`` on every crash, restart and
+    #: state restore; the watchdog uses it to know whom to sweep
+    #: without polling the whole fleet.
+    _health_listener: Callable[["DynamoAgent", bool], None] | None = None
+
+    def _set_healthy(self, healthy: bool) -> None:
+        self._healthy = healthy
+        if self._health_listener is not None:
+            self._health_listener(self, healthy)
+
     def crash(self) -> None:
         """Simulate the agent process dying (fault-injection hook)."""
-        self._healthy = False
+        self._set_healthy(False)
 
     def restart(self) -> None:
         """Watchdog restart: the agent resumes serving requests."""
-        self._healthy = True
+        self._set_healthy(True)
 
     # ------------------------------------------------------------------
     # Request handlers
@@ -168,7 +181,7 @@ class DynamoAgent:
 
     def restore_state(self, state: dict) -> None:
         """Restore agent health and request counters in place."""
-        self._healthy = bool(state["healthy"])
+        self._set_healthy(bool(state["healthy"]))
         self.reads_served = int(state["reads_served"])
         self.caps_applied = int(state["caps_applied"])
         self.uncaps_applied = int(state["uncaps_applied"])

@@ -56,6 +56,7 @@ from repro.estimation.disaggregator import (
 from repro.power.device import PowerDevice
 from repro.rpc.transport import Transport
 from repro.server.sensor import PowerSensor
+from repro.simulation.soa import seq_sum
 from repro.telemetry.alerts import AlertSink, Severity
 from repro.telemetry.timeseries import TimeSeries
 from repro.telemetry.tracing import TraceBuffer, TraceBuilder
@@ -105,7 +106,7 @@ class BatchedSense:
         self.estimated = estimated
 
     def total_power_w(self) -> float:
-        """Sum of all sensed powers, bitwise-equal to the scalar sum.
+        """Sum of all sensed powers, bitwise-equal to the scalar ``seq_sum``.
 
         Left-to-right accumulation over the scalar reference order via
         cumsum (seeded implicitly at 0.0: ``0.0 + x == x`` for the
@@ -527,7 +528,7 @@ class LeafPowerController(BaseController[list[PowerReading]]):
         residual_w = (
             metered_w
             - self.device.fixed_overhead_w
-            - sum(c.power_w() for c in self._components)
+            - seq_sum(c.power_w() for c in self._components)
             - measured_sum
         )
         return max(residual_w, 0.0), metered_w
@@ -544,7 +545,7 @@ class LeafPowerController(BaseController[list[PowerReading]]):
         if neighbours:
             # Estimate from neighbouring servers running similar
             # workloads, the paper's primary fallback.
-            power = sum(neighbours) / len(neighbours)
+            power = seq_sum(neighbours) / len(neighbours)
         elif last is not None:
             power = last.power_w
         else:
@@ -719,7 +720,7 @@ class LeafPowerController(BaseController[list[PowerReading]]):
 
         The neighbour mean is a left-to-right cumsum over successes in
         broadcast position order divided by the count — bitwise-equal to
-        the scalar ``sum(list) / len(list)``.
+        the scalar ``seq_sum(list) / len(list)``.
         """
         has_last = bool(self._last_has[p])
         service = self._pos_service[p] if has_last else "unknown"
@@ -763,9 +764,10 @@ class LeafPowerController(BaseController[list[PowerReading]]):
             aggregate = sensed.total_power_w() + self.device.fixed_overhead_w
         else:
             aggregate = (
-                sum(r.power_w for r in sensed) + self.device.fixed_overhead_w
+                seq_sum(r.power_w for r in sensed)
+                + self.device.fixed_overhead_w
             )
-        components_w = sum(c.power_w() for c in self._components)
+        components_w = seq_sum(c.power_w() for c in self._components)
         aggregate += components_w
         if trace.disaggregated:
             uncertain = (
@@ -933,7 +935,7 @@ class LeafPowerController(BaseController[list[PowerReading]]):
             self._contractual_limit_w,
         )
         budget = target - self.device.fixed_overhead_w
-        budget -= sum(c.power_w() for c in self._components)
+        budget -= seq_sum(c.power_w() for c in self._components)
         per_server_w = max(budget, 0.0) / len(self.server_ids)
         group = self._group_set_cap(
             [

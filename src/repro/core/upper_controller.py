@@ -32,6 +32,7 @@ from repro.core.offender import ChildState, OffenderDecision, punish_offender_fi
 from repro.core.three_band import BandAction, BandDecision
 from repro.core.thresholds import control_thresholds_w
 from repro.power.device import PowerDevice
+from repro.simulation.soa import seq_sum
 from repro.telemetry.alerts import AlertSink, Severity
 from repro.telemetry.tracing import TraceBuffer, TraceBuilder
 
@@ -121,7 +122,9 @@ class UpperLevelPowerController(BaseController[list[ChildState]]):
         self, sensed: list[ChildState], now_s: float, trace: TraceBuilder
     ) -> float:
         """Sum child aggregates plus the device's fixed overhead."""
-        return sum(c.power_w for c in sensed) + self.device.fixed_overhead_w
+        return (
+            seq_sum(c.power_w for c in sensed) + self.device.fixed_overhead_w
+        )
 
     # ------------------------------------------------------------------
     # Stage 4: punish-offender-first contractual limits

@@ -1,8 +1,16 @@
 """Agent watchdog (Section III-E).
 
 "A script periodically checks the health of an agent and restarts the
-agents in case the agent crashes."  The watchdog sweeps all registered
+agents in case the agent crashes."  The watchdog sweeps its registered
 agents on its interval and restarts any that report unhealthy.
+
+A sweep visits, in registration order, only the agents it could act on:
+those that reported going unhealthy (agents call back on every crash,
+restart and state restore) and those with a backoff ladder or budget
+window on record.  A healthy agent with no record is a no-op for the
+sweep, so skipping it changes nothing — and at a hundred thousand
+agents, polling each one's health flag cost more than a control cycle.
+Agents that cannot call back (test stubs) are polled every sweep.
 
 Repeatedly failing agents are handled defensively: each consecutive
 restart of the same agent doubles a per-agent backoff (``base * 2**(n-1)``
@@ -55,7 +63,13 @@ class AgentWatchdog:
         restart_budget: int = 8,
         budget_window_s: float = 900.0,
     ) -> None:
-        self._agents = list(agents)
+        self._agents: list[DynamoAgent] = []
+        #: server_id -> registration position (the sweep's visit order).
+        self._position: dict[str, int] = {}
+        #: Agents that reported unhealthy and have not recovered since.
+        self._unhealthy: set[str] = set()
+        #: Agents without a health callback: checked on every sweep.
+        self._polled: list[str] = []
         self._backoff_base_s = float(backoff_base_s)
         self._backoff_max_s = float(backoff_max_s)
         self._restart_budget = int(restart_budget)
@@ -72,10 +86,26 @@ class AgentWatchdog:
             label="agent-watchdog",
             priority=priority,
         )
+        for agent in agents:
+            self.add_agent(agent)
 
     def add_agent(self, agent: DynamoAgent) -> None:
         """Register another agent to watch."""
+        server_id = agent.server.server_id
+        self._position.setdefault(server_id, len(self._agents))
         self._agents.append(agent)
+        if hasattr(agent, "_health_listener"):
+            agent._health_listener = self._on_health_change
+            if not agent.healthy:
+                self._unhealthy.add(server_id)
+        else:
+            self._polled.append(server_id)
+
+    def _on_health_change(self, agent: DynamoAgent, healthy: bool) -> None:
+        if healthy:
+            self._unhealthy.discard(agent.server.server_id)
+        else:
+            self._unhealthy.add(agent.server.server_id)
 
     def start(self, phase: float = 0.0) -> None:
         """Begin sweeping."""
@@ -86,8 +116,11 @@ class AgentWatchdog:
         self._process.stop()
 
     def _sweep(self, now_s: float) -> None:
-        for agent in self._agents:
-            server_id = agent.server.server_id
+        position = self._position
+        due = self._unhealthy.union(self._states, self._polled)
+        due.intersection_update(position)
+        for server_id in sorted(due, key=position.__getitem__):
+            agent = self._agents[position[server_id]]
             state = self._states.get(server_id)
             if agent.healthy:
                 # A healthy sighting resets the backoff ladder; the

@@ -24,6 +24,7 @@ from repro.server.vectorized import VectorizedFleetStepper
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.process import PeriodicProcess
 from repro.simulation.rng import RngStreams
+from repro.simulation.soa import seq_sum
 from repro.workloads.registry import make_workload
 
 
@@ -92,7 +93,7 @@ class Fleet:
         """Instantaneous fleet power."""
         if self._stepper is not None and len(self.servers) == self._stepper._n:
             return self._stepper.total_power()
-        return sum(s.power_w() for s in self.servers.values())
+        return seq_sum(s.power_w() for s in self.servers.values())
 
     def capped_servers(self) -> list[Server]:
         """Servers currently holding a RAPL limit (cap-time order)."""
@@ -223,9 +224,11 @@ class FleetDriver:
         self._fleet = fleet
         self._dt = step_interval_s
         self.trips: list[BreakerTrip] = []
-        #: Wall-clock seconds spent stepping server physics (feeds the
-        #: per-phase breakdown of ``python -m repro profile``).
+        #: Wall-clock seconds spent stepping server physics, and spent
+        #: observing breakers (the two halves of the per-step barrier;
+        #: they feed ``python -m repro profile``'s phase table).
         self.physics_wall_s = 0.0
+        self.breakers_wall_s = 0.0
         self._backend = physics_backend
         #: Sharded execution: called between the physics step and the
         #: breaker observation.  The hook exchanges each shard's freshly
@@ -238,7 +241,7 @@ class FleetDriver:
             self._stepper = VectorizedFleetStepper(
                 fleet, prefetch_draws=prefetch_draws
             )
-            self._stepper.install_device_caches(topology)
+            self._stepper.bind_device_loads(topology)
             fleet._stepper = self._stepper
         self._process = PeriodicProcess(
             engine,
@@ -285,6 +288,7 @@ class FleetDriver:
         self.physics_wall_s += time.perf_counter() - t0
         if self.shard_sync is not None:
             self.shard_sync()
+        t0 = time.perf_counter()
         for device in self._topology.observe_breakers(self._dt, now_s):
             self.trips.append(
                 BreakerTrip(
@@ -293,6 +297,7 @@ class FleetDriver:
                     level=device.level.value,
                 )
             )
+        self.breakers_wall_s += time.perf_counter() - t0
 
     @property
     def tripped(self) -> bool:

@@ -32,6 +32,7 @@ import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
+from repro.simulation.soa import ArraySlot, array_backed
 
 
 @dataclass(frozen=True)
@@ -115,6 +116,15 @@ class CircuitBreaker:
     #: below the rating (thermal cooling).
     COOLING_RATE_PER_S = 0.01
 
+    #: Row of the owning topology's :class:`~repro.power.table.DeviceTable`
+    #: once it has compiled one; the rating and thermal state then live
+    #: in its arrays and this object is the view onto them.
+    _soa: ArraySlot | None = None
+    rated_power_w = array_backed("breaker_rating")
+    _stress = array_backed("breaker_stress")
+    _tripped = array_backed("breaker_tripped", kind="bool")
+    _trip_time = array_backed("breaker_trip_time", kind="nan_none")
+
     def __init__(self, rated_power_w: float, curve: BreakerCurve) -> None:
         if rated_power_w <= 0:
             raise ConfigurationError("breaker rating must be positive")
@@ -122,7 +132,7 @@ class CircuitBreaker:
         self.curve = curve
         self._stress = 0.0
         self._tripped = False
-        self._trip_time: float | None = None
+        self._trip_time = None
 
     @property
     def tripped(self) -> bool:
@@ -148,7 +158,11 @@ class CircuitBreaker:
         return max(0.0, (1.0 - self._stress) * horizon)
 
     def observe(self, power_w: float, dt_s: float, now_s: float) -> bool:
-        """Integrate ``dt_s`` seconds at ``power_w``; return tripped state."""
+        """Integrate ``dt_s`` seconds at ``power_w``; return tripped state.
+
+        The per-breaker reference; a topology integrates all of its
+        breakers at once in :meth:`repro.power.table.DeviceTable.observe`.
+        """
         if self._tripped:
             return True
         if dt_s < 0:

@@ -14,6 +14,7 @@ from typing import Callable, Iterator
 from repro.errors import ConfigurationError, TopologyError
 from repro.power.breaker import STANDARD_CURVES, BreakerCurve, CircuitBreaker
 from repro.power.loss import PowerLossModel
+from repro.simulation.soa import ArraySlot, array_backed, seq_sum
 
 
 class DeviceLevel(enum.Enum):
@@ -47,12 +48,16 @@ class PowerDevice:
     switches) plus distribution losses, if a loss model is attached.
     """
 
-    #: Fast direct-load sum installed by the vectorized fleet backend
-    #: (an indexed reduction over the packed power array).  ``None``
-    #: means the scalar generator sum below; membership changes clear
-    #: the cache and notify the hook so it can be reinstalled.
-    _load_power_cache: Callable[[], float] | None = None
+    #: Called after any structural change under this device (a load
+    #: attached or detached, a child added, the loss model replaced):
+    #: the owning topology drops its compiled device table.
     _load_membership_hook: Callable[["PowerDevice"], None] | None = None
+
+    #: Row of the owning topology's compiled device table, once there is
+    #: one; the fixed overhead then lives in its arrays.
+    _soa: ArraySlot | None = None
+    #: Non-server overhead power always present (e.g. network gear).
+    fixed_overhead_w = array_backed("fixed_overhead")
 
     def __init__(
         self,
@@ -77,18 +82,30 @@ class PowerDevice:
         #: :func:`repro.power.oversubscription.plan_quotas`; defaults to
         #: the physical rating.
         self.power_quota_w: float = float(rated_power_w)
-        #: Non-server overhead power always present (e.g. network gear).
-        self.fixed_overhead_w: float = 0.0
-        #: Optional distribution-loss model: the breaker sees the
-        #: subtree draw inflated by conversion/distribution losses.
-        self.loss_model: PowerLossModel | None = None
+        self.fixed_overhead_w = 0.0
+        self._loss_model: PowerLossModel | None = None
         #: Suite (room) this device belongs to; a datacenter typically
         #: spans four suites with up to four MSBs each (Section II-A).
         self.suite: int | None = None
 
+    @property
+    def loss_model(self) -> PowerLossModel | None:
+        """Optional distribution-loss model: the breaker sees the
+        subtree draw inflated by conversion/distribution losses."""
+        return self._loss_model
+
+    @loss_model.setter
+    def loss_model(self, model: PowerLossModel | None) -> None:
+        self._loss_model = model
+        self._structure_changed()
+
     # ------------------------------------------------------------------
     # Tree construction
     # ------------------------------------------------------------------
+
+    def _structure_changed(self) -> None:
+        if self._load_membership_hook is not None:
+            self._load_membership_hook(self)
 
     def add_child(self, child: "PowerDevice") -> None:
         """Attach a downstream device."""
@@ -104,24 +121,21 @@ class PowerDevice:
             )
         child.parent = self
         self.children.append(child)
+        self._structure_changed()
 
     def attach_load(self, load_id: str, source: LoadSource) -> None:
         """Attach a direct load (a server or switch) to this device."""
         if load_id in self._loads:
             raise TopologyError(f"load {load_id!r} already attached to {self.name!r}")
         self._loads[load_id] = source
-        self._load_power_cache = None
-        if self._load_membership_hook is not None:
-            self._load_membership_hook(self)
+        self._structure_changed()
 
     def detach_load(self, load_id: str) -> None:
         """Remove a direct load (e.g. a decommissioned server)."""
         if load_id not in self._loads:
             raise TopologyError(f"load {load_id!r} not attached to {self.name!r}")
         del self._loads[load_id]
-        self._load_power_cache = None
-        if self._load_membership_hook is not None:
-            self._load_membership_hook(self)
+        self._structure_changed()
 
     @property
     def load_ids(self) -> list[str]:
@@ -134,10 +148,7 @@ class PowerDevice:
 
     def direct_load_power_w(self) -> float:
         """Instantaneous power of loads attached directly to this device."""
-        cache = self._load_power_cache
-        if cache is not None:
-            return cache()
-        return sum(source() for source in self._loads.values())
+        return seq_sum(source() for source in self._loads.values())
 
     def power_w(self) -> float:
         """Instantaneous total power draw of this device's subtree.
@@ -146,11 +157,16 @@ class PowerDevice:
         offline.  When a loss model is attached, the reported draw is
         what the breaker sees — downstream power inflated by
         distribution and conversion losses.
+
+        This recursion is the definition.  The per-step evaluation of
+        every device at once (:class:`repro.power.table.DeviceTable`)
+        reproduces it bit for bit, which is why both sums here are
+        strict left-to-right :func:`~repro.simulation.soa.seq_sum`.
         """
         if self.breaker.tripped:
             return 0.0
         total = self.fixed_overhead_w + self.direct_load_power_w()
-        total += sum(child.power_w() for child in self.children)
+        total += seq_sum(child.power_w() for child in self.children)
         if self.loss_model is not None:
             total = self.loss_model.upstream_power_w(total)
         return total

@@ -4,8 +4,12 @@ from __future__ import annotations
 
 from typing import Iterator
 
+import numpy as np
+
 from repro.errors import TopologyError
 from repro.power.device import DeviceLevel, PowerDevice
+from repro.power.table import DeviceTable, RowOf
+from repro.simulation.soa import seq_sum
 
 
 class PowerTopology:
@@ -20,6 +24,11 @@ class PowerTopology:
         self.name = name
         self.roots = list(roots)
         self._by_name: dict[str, PowerDevice] = {}
+        #: The forest compiled for the per-step pass; ``None`` until
+        #: first needed and again after any structural change.
+        self._table: DeviceTable | None = None
+        self._packed_power: np.ndarray | None = None
+        self._packed_row_of: RowOf | None = None
         self._index()
         self.validate()
 
@@ -91,7 +100,7 @@ class PowerTopology:
 
     def total_power_w(self) -> float:
         """Instantaneous datacenter power draw."""
-        return sum(root.power_w() for root in self.roots)
+        return seq_sum(root.power_w() for root in self.roots)
 
     def tripped_devices(self) -> list[PowerDevice]:
         """Devices whose breakers have tripped."""
@@ -100,18 +109,48 @@ class PowerTopology:
     def observe_breakers(self, dt_s: float, now_s: float) -> list[PowerDevice]:
         """Advance every breaker's thermal integration by ``dt_s``.
 
-        Returns the devices that tripped during this step.  Power is
-        evaluated bottom-up *before* any new trips are applied so that a
-        parent sees its children's draw in the same instant.
+        Returns the devices that tripped during this step, pre-order.
+        Power is evaluated bottom-up *before* any new trips are applied
+        so that a parent sees its children's draw in the same instant.
         """
-        draws = {d.name: d.power_w() for d in self.iter_devices()}
-        newly_tripped: list[PowerDevice] = []
-        for device in self.iter_devices():
-            if device.breaker.tripped:
-                continue
-            if device.breaker.observe(draws[device.name], dt_s, now_s):
-                newly_tripped.append(device)
-        return newly_tripped
+        return self.device_table().observe(dt_s, now_s)
+
+    # ------------------------------------------------------------------
+    # The compiled forest
+    # ------------------------------------------------------------------
+
+    def device_table(self) -> DeviceTable:
+        """The forest compiled into arrays, built on first use.
+
+        Dropped whenever a load is attached or detached, a child added
+        or a loss model replaced anywhere in the forest, and recompiled
+        by the next call; device and breaker state carries over because
+        it is read through the objects, wherever it currently lives.
+        """
+        table = self._table
+        if table is None:
+            devices = list(self.iter_devices())
+            for device in devices:
+                device._load_membership_hook = self._drop_table
+            table = DeviceTable(
+                devices, self._packed_power, self._packed_row_of
+            )
+            self._table = table
+        return table
+
+    def bind_packed_loads(self, power: np.ndarray, row_of: RowOf) -> None:
+        """Read loads straight out of a packed per-server power array.
+
+        ``row_of(source)`` names the row of ``power`` a load callable
+        reads, or ``None`` for a load that has to be called.  Installed
+        by the fleet driver on the vectorized physics backend.
+        """
+        self._packed_power = power
+        self._packed_row_of = row_of
+        self._table = None
+
+    def _drop_table(self, _changed: PowerDevice) -> None:
+        self._table = None
 
     def __repr__(self) -> str:
         return (

@@ -15,8 +15,14 @@ implementation in ways worth spelling out:
   same ``math`` call per *unique argument* (diurnal shapes, OU decay
   factors, RAPL alphas are shared by construction) and broadcast — or,
   for the per-server power curve, with a python ``**`` per element.
-* Reductions use ``np.cumsum(...)[-1]`` (strictly sequential, matching
-  ``sum()``'s left-to-right association), never ``np.sum`` (pairwise).
+* Reductions use ``np.cumsum(...)[-1]`` (strictly sequential, the
+  association of :func:`~repro.simulation.soa.seq_sum`, which the
+  scalar path uses), never ``np.sum`` (pairwise) and never the builtin
+  ``sum()`` (compensated from Python 3.12).
+* Per-row updates are masked ufuncs (``out=``, ``where=online``) over
+  the whole arrays, not gather/scatter through an index of the online
+  rows: one code path whether every row is online, some are offline,
+  or a shard owns a subset — and rows outside the mask are untouched.
 * RNG draw order is preserved per stream.  Each server's workload
   normals are prefetched in blocks (``gen.normal(size=k)`` produces the
   same sequence as ``k`` scalar calls); any *other* draw on that stream
@@ -53,6 +59,9 @@ from repro.workloads.storage import StorageWorkload
 from repro.workloads.web import WebWorkload
 
 _ENGAGE_SPAN = 1.0 - PowerModel.TURBO_ENGAGE_UTIL
+#: ``PowerModel.performance_factor``'s constants, computed the same way.
+_MIN_DVFS_RATIO = PowerModel.MIN_FREQUENCY_FRACTION**PowerModel.DVFS_EXPONENT
+_INV_DVFS_EXPONENT = 1.0 / PowerModel.DVFS_EXPONENT
 
 _SERVER_FIELDS = (
     "_current_power_w",
@@ -130,7 +139,6 @@ class VectorizedFleetStepper:
         self._arrays = a
 
         self._servers = servers
-        self._models = [s.power_model for s in servers]
         self._workloads = [s.workload for s in servers]
         self._server_index = {id(s): i for i, s in enumerate(servers)}
 
@@ -218,6 +226,7 @@ class VectorizedFleetStepper:
         self._scratch_u = np.zeros(n)
         self._scratch_dyn = np.zeros(n)
         self._scratch_factor = np.ones(n)
+        self._scratch_work = np.zeros(n)
 
     # ------------------------------------------------------------------
     # Binding
@@ -462,8 +471,7 @@ class VectorizedFleetStepper:
 
         # OU noise: exactly one buffered draw per advancing server.
         ou_elig = self._ou_mask & vec
-        sidx = np.nonzero(ou_elig)[0]
-        if sidx.size:
+        if ou_elig.any():
             first = ou_elig & np.isnan(a.ou_last)
             if first.any():
                 a.ou_last[first] = now_s
@@ -485,14 +493,12 @@ class VectorizedFleetStepper:
                         z = self._draw(rows)
                         a.ou_value[rows] = a.ou_value[rows] * decay + diffusion * z
                     a.ou_last[sel] = now_s
-            u[sidx] += a.ou_value[sidx]
+            np.add(u, a.ou_value, out=u, where=ou_elig)
             # Bursts: the vec lane never crosses an arrival, so the
             # contribution is pure state readout.
-            u[sidx] += np.where(
-                self._burst_pos[sidx] & (now_s < a.burst_until[sidx]),
-                a.burst_mag[sidx],
-                0.0,
-            )
+            bursting = ou_elig & self._burst_pos
+            bursting &= now_s < a.burst_until
+            np.add(u, a.burst_mag, out=u, where=bursting)
 
         # Modifiers are pure (no draws): scalar post-pass, pre-clamp.
         if self._modified:
@@ -503,8 +509,8 @@ class VectorizedFleetStepper:
                         val = modifier.apply(now_s, val)
                     u[i] = val
 
-        vec_idx = np.nonzero(vec)[0]
-        u[vec_idx] = np.minimum(1.0, np.maximum(0.0, u[vec_idx]))
+        np.maximum(u, 0.0, out=u, where=vec)
+        np.minimum(u, 1.0, out=u, where=vec)
 
         # Scalar lane: the guard rewinds each stream before its draws.
         for i in np.nonzero(fallback)[0]:
@@ -539,7 +545,6 @@ class VectorizedFleetStepper:
         demand += self._idle_w
 
         # RAPL first-order settle toward min(demand, limit).
-        on_idx = np.nonzero(online)[0]
         if dt_s > 0:
             target = np.minimum(demand, a.rapl_limit)
             for tau_s, gidx in self._rapl_groups:
@@ -549,30 +554,41 @@ class VectorizedFleetStepper:
                 alpha = self._rapl_alpha(tau_s, dt_s)
                 a.rapl_enforced[sel] += (target[sel] - a.rapl_enforced[sel]) * alpha
 
-        # Performance factor: non-unity only where a finite cap binds.
+        # Performance factor (``PowerModel.performance_factor`` on the
+        # ``demand`` this tick already holds): non-unity only where a
+        # finite cap binds, and a python ``**`` only in the DVFS regime.
         factor = self._scratch_factor
         factor.fill(1.0)
-        capped = (
-            online
-            & np.isfinite(a.rapl_limit)
-            & (u > 0.0)
-            & (a.rapl_limit < demand)
-        )
-        if capped.any():
-            lim = a.rapl_limit
-            for i in np.nonzero(capped)[0]:
-                factor[i] = self._models[i].performance_factor(
-                    float(u[i]), float(lim[i]), turbo=bool(a.turbo_enabled[i])
-                )
+        capped = online & (u > 0.0)
+        capped &= a.rapl_limit < demand
+        cidx = np.flatnonzero(capped)
+        if cidx.size:
+            idle = self._idle_w[cidx]
+            demand_dynamic = demand[cidx] - idle
+            cap_dynamic = np.maximum(0.0, a.rapl_limit[cidx] - idle)
+            binds = demand_dynamic > 0.0
+            ratio = np.divide(
+                cap_dynamic, demand_dynamic, out=np.ones(cidx.size), where=binds
+            )
+            dvfs = ratio >= _MIN_DVFS_RATIO
+            slowed = PowerModel.MIN_FREQUENCY_FRACTION * (ratio / _MIN_DVFS_RATIO)
+            slowed[dvfs] = [r**_INV_DVFS_EXPONENT for r in ratio[dvfs].tolist()]
+            np.maximum(slowed, 0.01, out=slowed)
+            factor[cidx] = np.where(binds, slowed, 1.0)
 
         # Accounting, preserving the scalar path's association order.
-        a.demanded[on_idx] += u[on_idx] * dt_s
-        turbo_mult = np.where(a.turbo_enabled[on_idx], self._turbo_mult[on_idx], 1.0)
-        a.delivered[on_idx] += ((u[on_idx] * factor[on_idx]) * turbo_mult) * dt_s
-        a.energy[on_idx] += a.rapl_enforced[on_idx] * dt_s
-        a.power[on_idx] = a.rapl_enforced[on_idx]
-        a.util[on_idx] = u[on_idx]
-        a.last_step[on_idx] = now_s
+        work = self._scratch_work
+        np.multiply(u, dt_s, out=work)
+        np.add(a.demanded, work, out=a.demanded, where=online)
+        np.multiply(u, factor, out=work)
+        np.multiply(work, self._turbo_mult, out=work, where=a.turbo_enabled)
+        work *= dt_s
+        np.add(a.delivered, work, out=a.delivered, where=online)
+        np.multiply(a.rapl_enforced, dt_s, out=work)
+        np.add(a.energy, work, out=a.energy, where=online)
+        np.copyto(a.power, a.rapl_enforced, where=online)
+        np.copyto(a.util, u, where=online)
+        np.copyto(a.last_step, now_s, where=online)
         if off_idx.size:
             a.power[off_idx] = 0.0
             a.util[off_idx] = 0.0
@@ -585,41 +601,25 @@ class VectorizedFleetStepper:
         """Fleet-wide power, identical to summing ``power_w()`` in order.
 
         ``cumsum`` accumulates strictly left to right, matching the
-        association of the scalar generator ``sum``.
+        scalar path's ``seq_sum``.
         """
         if self._n == 0:
             return 0.0
         return float(np.cumsum(self._arrays.power)[-1])
 
-    def install_device_caches(self, topology: Any) -> None:
-        """Turn each device's direct-load sum into an indexed reduction.
+    def bind_device_loads(self, topology: Any) -> None:
+        """Let the topology's breaker pass read loads from the packed array.
 
-        A device whose attached loads are all plain ``Server.power_w``
-        bound methods gets a closure summing the packed power array at
-        precomputed indices; anything else keeps the scalar sum.  The
-        device calls back on attach/detach so caches never go stale.
+        A device load that is a plain ``Server.power_w`` bound method of
+        a bound server is gathered from its row of the power array; any
+        other load callable (a switch, a test stub) is called.
         """
-        for device in topology.iter_devices():
-            device._load_membership_hook = self._refresh_device_cache
-            self._refresh_device_cache(device)
+        topology.bind_packed_loads(self._arrays.power, self._load_row)
 
-    def _refresh_device_cache(self, device: Any) -> None:
-        indices: list[int] = []
-        for source in device._loads.values():
-            owner = getattr(source, "__self__", None)
-            index = self._server_index.get(id(owner))
-            if index is None or getattr(source, "__func__", None) is not Server.power_w:
-                device._load_power_cache = None
-                return
-            indices.append(index)
-        if not indices:
-            device._load_power_cache = lambda: 0.0
-            return
-        idx = np.array(indices, dtype=np.intp)
-        power = self._arrays.power
-        device._load_power_cache = (
-            lambda idx=idx, power=power: float(np.cumsum(power[idx])[-1])
-        )
+    def _load_row(self, source: Any) -> int | None:
+        if getattr(source, "__func__", None) is not Server.power_w:
+            return None
+        return self._server_index.get(id(source.__self__))
 
 
 __all__ = [

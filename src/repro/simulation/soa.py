@@ -24,7 +24,7 @@ slot is released.
 from __future__ import annotations
 
 import math
-from typing import Any
+from typing import Any, Iterable
 
 
 class ArraySlot:
@@ -39,6 +39,22 @@ class ArraySlot:
     def __init__(self, arrays: Any, index: int) -> None:
         self.arrays = arrays
         self.index = index
+
+
+def seq_sum(values: Iterable[float]) -> float:
+    """Sum floats strictly left to right, starting from ``0.0``.
+
+    The scalar and array implementations are bit-identical by contract,
+    and the array side accumulates sequentially (``np.cumsum(x)[-1]``,
+    column accumulation in :mod:`repro.power.table`).  The builtin
+    ``sum()`` is not that: from Python 3.12 it compensates float sums
+    (Neumaier), so it rounds differently from a running total.  Every
+    scalar sum the contract covers goes through this loop instead.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def _shadow(array_name: str) -> str:

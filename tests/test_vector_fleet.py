@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.simulation.soa import seq_sum
 from repro.state.registry import SnapshotRegistry
 from repro.state.snapshot import fingerprint
 from repro.state.worlds import build_chaos_world, build_quickstart_world
@@ -209,24 +210,49 @@ class TestFleetIndexes:
         assert fleet.total_power_w() == expected
 
     def test_device_load_cache_matches_and_invalidates(self):
+        """The compiled device table gathers loads from the packed power
+        array, equals the recursive ``power_w()``, and is recompiled —
+        state carried over — when a load is detached or attached."""
         world = build_quickstart_world(seed=2, physics_backend="vectorized")
         world.run_until(60.0)
         from repro.power.device import DeviceLevel
 
-        rack = world.topology.devices_at_level(DeviceLevel.RACK)[0]
-        assert rack._load_power_cache is not None
-        cached = rack.direct_load_power_w()
+        topology = world.topology
+
+        def assert_table_matches_recursion():
+            table = topology.device_table()
+            assert table.draws().tolist() == [
+                d.power_w() for d in topology.iter_devices()
+            ]
+            return table
+
+        table = assert_table_matches_recursion()
+        assert topology.device_table() is table  # compiled once
+        assert table._load_rows.size and not table._called  # all gathered
+
+        rack = topology.devices_at_level(DeviceLevel.RACK)[0]
+        rack.breaker._stress = 0.25
+        before = rack.power_w()
         loads = dict(rack._loads)
         victim = next(iter(loads))
         rack.detach_load(victim)
-        # The membership hook rebuilds a reduced-index cache (or clears
-        # it); either way the reading must track the remaining loads.
-        assert rack.direct_load_power_w() == pytest.approx(
-            cached - loads[victim]()
+        assert topology._table is None
+        recompiled = assert_table_matches_recursion()
+        assert recompiled is not table
+        assert rack.power_w() == pytest.approx(before - loads[victim]())
+        assert rack.breaker.stress == 0.25
+        assert rack.breaker._soa.arrays is recompiled
+
+        rack.attach_load(victim, loads[victim])
+        assert topology._table is None
+        assert_table_matches_recursion()
+        assert rack.direct_load_power_w() == seq_sum(
+            source() for source in rack._loads.values()
         )
-        assert rack.direct_load_power_w() == pytest.approx(
-            sum(source() for source in rack._loads.values())
-        )
+        # Stepping after the recompile stays on the cross-backend
+        # contract: the breaker pass reads the re-attached load again.
+        world.run_until(70.0)
+        assert_table_matches_recursion()
 
 
 # ---------------------------------------------------------------------------
@@ -265,3 +291,146 @@ def _trace_builder():
     from repro.telemetry.tracing import TraceBuilder
 
     return TraceBuilder(time_s=0.0, controller="rpp0", kind="leaf")
+
+
+# ---------------------------------------------------------------------------
+# Capped-row performance factor and masked accounting
+# ---------------------------------------------------------------------------
+
+
+def _capped_fleets(seed: int, n: int = 120):
+    """Twin fleets (scalar reference, vectorized) in every cap regime.
+
+    Rows cycle through: uncapped, a cap just under demand (DVFS
+    regime), a cap near idle (duty cycling), a cap below idle power
+    (clamped to zero dynamic budget), a cap above demand (not
+    binding), and zero utilization under a cap — with Turbo on and
+    off, across platforms with different exponents.
+    """
+    from repro.fleet import Fleet
+    from repro.server.platform import (
+        BROADWELL_2016,
+        HASWELL_2015,
+        WESTMERE_2011,
+    )
+    from repro.server.server import ConstantWorkload, Server
+
+    rng = np.random.default_rng(seed)
+    platforms = (HASWELL_2015, WESTMERE_2011, BROADWELL_2016)
+    fleets = []
+    rows = [
+        (
+            platforms[i % 3],
+            0.0 if i % 6 == 5 else float(rng.uniform(0.02, 1.0)),
+            bool(rng.integers(2)),
+            i % 6,
+            float(rng.uniform(0.0, 1.0)),
+        )
+        for i in range(n)
+    ]
+    for _ in range(2):
+        fleet = Fleet()
+        for i, (platform, util, turbo, regime, frac) in enumerate(rows):
+            server = Server(
+                f"s{i:03d}",
+                platform,
+                ConstantWorkload(util),
+                turbo_enabled=turbo,
+            )
+            demand = server.power_model.power_w(util, turbo=turbo)
+            idle = platform.idle_power_w
+            limit = {
+                0: None,
+                1: idle + (demand - idle) * (0.4 + 0.6 * frac),
+                2: idle + (demand - idle) * 0.15 * frac,
+                3: idle * (0.2 + 0.7 * frac),
+                4: demand * (1.0 + frac),
+                5: idle + 5.0,
+            }[regime]
+            # Written past ``set_limit``: regimes 2 and 3 sit below the
+            # platform minimum, which agents clamp but a restore or a
+            # chaos fault can still install.
+            server.rapl._limit_w = limit
+            fleet.servers[server.server_id] = server
+        fleets.append(fleet)
+    return fleets
+
+
+def _server_state(server) -> tuple:
+    return (
+        server.power_w(),
+        server.utilization,
+        server.demanded_work,
+        server.delivered_work,
+        server.energy_j,
+        server.rapl.enforced_power_w,
+        server._last_step_s,
+    )
+
+
+class TestCappedRowsAndMaskedAccounting:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_factor_equals_power_model_in_every_regime(self, seed):
+        from repro.server.vectorized import VectorizedFleetStepper
+
+        scalar, vector = _capped_fleets(seed)
+        stepper = VectorizedFleetStepper(vector)
+        offline = [sid for i, sid in enumerate(vector.servers) if i % 11 == 7]
+        regimes = set()
+        for t in (1.0, 2.0, 3.0, 4.5):
+            dt = 1.0 if t < 4.0 else 1.5
+            if t == 3.0:
+                for fleet in (scalar, vector):
+                    for sid in offline:
+                        fleet.servers[sid].set_online(False)
+            stepper.step(t, dt)
+            for server in scalar.servers.values():
+                server.step(t, dt)
+            for i, (sid, ref) in enumerate(scalar.servers.items()):
+                expected = (
+                    ref.power_model.performance_factor(
+                        ref.utilization, ref.rapl.limit_w, turbo=ref.turbo.enabled
+                    )
+                    if ref.online
+                    else 1.0
+                )
+                assert stepper._scratch_factor[i] == expected, (sid, t)
+                assert _server_state(vector.servers[sid]) == _server_state(ref)
+                if expected == 0.01:
+                    regimes.add("floor")
+                elif expected < 0.5:
+                    regimes.add("duty")
+                elif expected < 1.0:
+                    regimes.add("dvfs")
+                else:
+                    regimes.add("unbound")
+        assert regimes == {"floor", "duty", "dvfs", "unbound"}
+
+    def test_owned_mask_steps_only_its_rows(self):
+        from repro.server.vectorized import VectorizedFleetStepper
+
+        scalar, vector = _capped_fleets(3)
+        stepper = VectorizedFleetStepper(vector)
+        owned = np.arange(len(vector.servers)) % 3 == 1
+        stepper.set_owned_mask(owned)
+        untouched = {
+            sid: _server_state(server)
+            for sid, server in vector.servers.items()
+        }
+        vector.servers["s004"].set_online(False)  # owned (4 % 3 == 1)
+        scalar.servers["s004"].set_online(False)
+        untouched["s005"] = _server_state(vector.servers["s005"])
+        for t in (1.0, 2.0, 3.0):
+            stepper.step(t, 1.0)
+            for server in scalar.servers.values():
+                server.step(t, 1.0)
+        for i, (sid, ref) in enumerate(scalar.servers.items()):
+            got = _server_state(vector.servers[sid])
+            if owned[i]:
+                assert got == _server_state(ref), sid
+            else:
+                assert got == untouched[sid], sid
+        # Lifting the mask resumes every row from where it stood.
+        stepper.set_owned_mask(None)
+        stepper.step(4.0, 1.0)
+        assert vector.servers["s000"]._last_step_s == 4.0

@@ -120,3 +120,86 @@ class TestRestartBudget:
         times = [r.time_s for r in watchdog.restart_log]
         assert times == [0.0, 30.0, 120.0, 150.0, 240.0, 270.0]
         assert watchdog.restarts_suppressed == 4
+
+
+class TestSweepVisitsOnlyWhoItCouldActOn:
+    """The sweep skips healthy agents with no record; nothing observable
+    may depend on that.  The oracle is the same watchdog forced to poll
+    every agent every sweep (the pre-notification behaviour)."""
+
+    @staticmethod
+    def _run(control_backend: str, poll_everyone: bool) -> dict:
+        from repro.state.registry import SnapshotRegistry
+        from repro.state.worlds import build_quickstart_world
+
+        physics = "vectorized" if control_backend == "vectorized" else "scalar"
+        world = build_quickstart_world(
+            seed=9, physics_backend=physics, control_backend=control_backend
+        )
+        ids = list(world.dynamo.agents)
+        looper, flapper, once = ids[20], ids[3], ids[11]
+
+        def arm(world, crashes: list[tuple[float, str]]) -> None:
+            watchdog = world.dynamo.watchdog
+            watchdog._restart_budget = 3
+            if poll_everyone:
+                watchdog._polled = list(watchdog._position)
+            for time_s, server_id in crashes:
+                world.engine.schedule_at(
+                    time_s, world.dynamo.agents[server_id].crash
+                )
+
+        # ``once`` crashes a single time; ``flapper`` crashes again
+        # after some repairs (a healthy sighting resets its ladder in
+        # between); ``looper`` dies one second after every sweep, up
+        # its backoff ladder and through its restart budget.
+        arm(
+            world,
+            [(10.0, once)]
+            + [(t, flapper) for t in (40.0, 100.0, 220.0, 700.0)]
+            + [(31.0 + 30.0 * k, looper) for k in range(32)],
+        )
+        world.run_until(1000.0)
+        # A snapshot round trip mid-campaign (looper down, on its
+        # ladder) must leave the restored watchdog knowing whom to visit.
+        registry = SnapshotRegistry()
+        resumed = registry.restore(registry.capture(world))
+        arm(resumed, [(31.0 + 30.0 * k, looper) for k in range(33, 70)])
+        resumed.run_until(2200.0)
+        final = resumed.dynamo.watchdog
+        assert final.restarts_suppressed > 0 and final.backoff_deferrals > 0
+        assert {r.server_id for r in final.restart_log} == {
+            looper, flapper, once
+        }
+        return {
+            "state": final.snapshot_state(),
+            "healthy": [a.healthy for a in resumed.dynamo.agents.values()],
+        }
+
+    def test_identical_to_polling_every_agent_on_both_control_backends(self):
+        outcomes = {
+            (backend, poll): self._run(backend, poll)
+            for backend in ("scalar", "vectorized")
+            for poll in (False, True)
+        }
+        reference = outcomes[("scalar", True)]
+        for key, outcome in outcomes.items():
+            assert outcome == reference, key
+
+    def test_sweep_does_not_touch_healthy_agents(self):
+        from repro.state.worlds import build_quickstart_world
+
+        world = build_quickstart_world(seed=9)
+        watchdog = world.dynamo.watchdog
+        reads = []
+        agent_type = type(next(iter(world.dynamo.agents.values())))
+        original = agent_type.healthy
+        agent_type.healthy = property(
+            lambda self: (reads.append(self), original.fget(self))[1]
+        )
+        try:
+            world.run_until(95.0)  # three sweeps
+        finally:
+            agent_type.healthy = original
+        assert reads == []
+        assert watchdog.restarts == 0
