@@ -31,7 +31,7 @@ from repro.power.device import DeviceLevel, PowerDevice
 from repro.power.oversubscription import plan_quotas
 from repro.power.topology import PowerTopology
 from repro.server.platform import HASWELL_2015, ServerPlatform
-from repro.server.server import Server
+from repro.server.server import PlatformTemplate, Server
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.rng import RngStreams
 from repro.units import hours, kilowatts, megawatts
@@ -96,12 +96,13 @@ def _attach_servers(
 ) -> list[Server]:
     """Create ``count`` servers on ``device`` with per-server workloads."""
     servers: list[Server] = []
+    template = PlatformTemplate(platform)
     for i in range(count):
         server_id = f"{prefix}-{i:04d}"
         rng = rng_streams.stream(f"workload.{server_id}")
         server = Server(
             server_id,
-            platform,
+            template,
             make_workload(rng),
             rng=rng_streams.stream(f"sensor.{server_id}"),
             turbo_enabled=turbo,

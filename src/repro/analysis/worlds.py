@@ -16,7 +16,7 @@ from repro.power.oversubscription import plan_quotas
 from repro.power.topology import PowerTopology
 from repro.server.platform import HASWELL_2015
 from repro.server.power_model import PowerModel
-from repro.server.server import Server
+from repro.server.server import PlatformTemplate, Server
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.rng import RngStreams
 from repro.workloads.base import StochasticWorkload, WorkloadModifier
@@ -70,6 +70,7 @@ def build_surge_world(
     msb = PowerDevice("msb0", DeviceLevel.MSB, sb_rating * 4)
     sb = PowerDevice("sb0", DeviceLevel.SB, sb_rating)
     msb.add_child(sb)
+    template = PlatformTemplate(HASWELL_2015)
     for r in range(rpp_count):
         rpp = PowerDevice(f"rpp{r}", DeviceLevel.RPP, rpp_rating)
         sb.add_child(rpp)
@@ -78,7 +79,7 @@ def build_surge_world(
             workload = FlatWorkload(level, rng_streams.stream(f"w.{sid}"))
             if surge is not None:
                 workload.add_modifier(surge)
-            server = Server(sid, HASWELL_2015, workload)
+            server = Server(sid, template, workload)
             rpp.attach_load(sid, server.power_w)
             fleet.servers[sid] = server
     topology = PowerTopology("surge-world", [msb])

@@ -21,6 +21,7 @@ Usage::
     python -m repro attribute rpp0 --scenario sensor-blackout-50 --seed 7
     python -m repro profile quickstart --physics-backend vectorized
     python -m repro profile sb-outage --top 10
+    python -m repro profile --servers 10080 --physics-backend vectorized
     python -m repro serve --port 8640
     python -m repro econ price-spike-day --compare
     python -m repro econ carbon-spike-day --hours 10 --seed 3
@@ -42,7 +43,10 @@ aggregated metrics.
 from __future__ import annotations
 
 import argparse
+import gc
+import os
 import sys
+import time
 
 from repro.analysis.multidc import build_region
 from repro.config import (
@@ -390,11 +394,81 @@ def _run_trace(args: argparse.Namespace) -> int:
     return 0
 
 
+def _rss_mb() -> float:
+    """Resident set size now (Linux), else the peak so far."""
+    try:
+        with open("/proc/self/statm", encoding="ascii") as statm:
+            pages = int(statm.read().split()[1])
+        return pages * os.sysconf("SC_PAGE_SIZE") / 2**20
+    except (OSError, ValueError, IndexError):
+        import resource
+
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        # Kilobytes everywhere but macOS, which reports bytes.
+        return peak / (2**20 if sys.platform == "darwin" else 2**10)
+
+
+class _SetupTable:
+    """What each set-up phase of a world cost.
+
+    One row per phase: wall seconds, tracked objects created,
+    collections run per generation, and the resident set when the phase
+    finished — the footprint of standing a world up, attributed the way
+    the tick table attributes a cycle.
+    """
+
+    def __init__(self) -> None:
+        self.rows: list[tuple[str, float, int, list[int], float]] = []
+        self._arm()
+
+    def _arm(self) -> None:
+        self._objects = len(gc.get_objects())
+        self._collections = [g["collections"] for g in gc.get_stats()]
+        self._t0 = time.perf_counter()
+
+    def phase_done(self, phase: str) -> None:
+        """Close the row for ``phase`` and start timing the next."""
+        wall_s = time.perf_counter() - self._t0
+        rss_mb = _rss_mb()
+        collections = [g["collections"] for g in gc.get_stats()]
+        self.rows.append(
+            (
+                phase,
+                wall_s,
+                len(gc.get_objects()) - self._objects,
+                [b - a for a, b in zip(self._collections, collections)],
+                rss_mb,
+            )
+        )
+        self._arm()
+
+    def render(self, servers: int) -> str:
+        """The table, one line per phase plus a total."""
+        lines = [
+            f"set-up ({servers} servers):",
+            f"{'phase':<17} {'wall_s':>8} {'objects':>9} "
+            f"{'gen0':>5} {'gen1':>5} {'gen2':>5} {'rss_mb':>8}",
+        ]
+        for phase, wall_s, objects, (g0, g1, g2), rss_mb in self.rows:
+            lines.append(
+                f"{phase:<17} {wall_s:>8.3f} {objects:>9d} "
+                f"{g0:>5d} {g1:>5d} {g2:>5d} {rss_mb:>8.1f}"
+            )
+        lines.append(
+            f"{'total':<17} {sum(row[1] for row in self.rows):>8.3f} "
+            f"{sum(row[2] for row in self.rows):>9d}"
+        )
+        return "\n".join(lines)
+
+
 def _run_profile(args: argparse.Namespace) -> int:
     """Profile one scenario: per-phase wall-time + cProfile hot spots.
 
-    The phase breakdown splits the run's wall-clock between the two
-    halves of the per-step physics barrier — the fleet physics step
+    With ``--servers`` a set-up table comes first (:class:`_SetupTable`:
+    topology, populate, Dynamo, stepper bind, agent-batch bind and the
+    first control cycle, which runs before the profiler is switched
+    on).  The tick table then splits the run's wall-clock between the
+    two halves of the per-step physics barrier — the fleet physics step
     (``FleetDriver.physics_wall_s``) and the breaker observation
     (``FleetDriver.breakers_wall_s``) — and the four control stages,
     whose durations every :class:`TickTrace` already records;
@@ -404,7 +478,6 @@ def _run_profile(args: argparse.Namespace) -> int:
     import cProfile
     import io
     import pstats
-    import time as time_module
 
     from repro.state.worlds import (
         build_chaos_world,
@@ -415,13 +488,16 @@ def _run_profile(args: argparse.Namespace) -> int:
     backend_kwargs = dict(
         execution_backend=args.execution_backend, shards=args.shards
     )
+    setup: _SetupTable | None = None
     if args.scenario == "quickstart":
         if args.servers is not None:
+            setup = _SetupTable()
             world = build_sized_world(
                 servers=args.servers,
                 seed=args.seed,
                 physics_backend=args.physics_backend,
                 control_backend=args.control_backend,
+                on_phase=setup.phase_done,
                 **backend_kwargs,
             )
         else:
@@ -445,13 +521,22 @@ def _run_profile(args: argparse.Namespace) -> int:
         )
         end_s = world.extras["end_s"]
     if args.execution_backend == "sharded":
+        if setup is not None:
+            print(setup.render(args.servers))
+            print()
         return _profile_sharded(world, args, end_s)
+    t0 = time.perf_counter()
+    if setup is not None:
+        leaf_period_s = world.dynamo.config.controller.leaf_pull_interval_s
+        world.run_until(min(end_s, leaf_period_s))
+        setup.phase_done("first cycle")
+        print(setup.render(args.servers))
+        print()
     profiler = cProfile.Profile()
-    t0 = time_module.perf_counter()
     profiler.enable()
     world.run_until(end_s)
     profiler.disable()
-    wall_s = time_module.perf_counter() - t0
+    wall_s = time.perf_counter() - t0
     print(
         f"profiled {args.scenario!r} ({args.physics_backend} backend) "
         f"to t={world.now_s:.1f}s: wall {wall_s:.3f} s"
@@ -489,12 +574,11 @@ def _profile_sharded(world, args: argparse.Namespace, end_s: float) -> int:
     accounting (shard step, aggregate exchange, coordinator decide) and
     each worker's compute-vs-waiting split are reported directly.
     """
-    import time as time_module
 
-    t0 = time_module.perf_counter()
+    t0 = time.perf_counter()
     with world as sharded:
         sharded.run_until(end_s)
-        wall_s = time_module.perf_counter() - t0
+        wall_s = time.perf_counter() - t0
         stats = sharded.worker_stats()
         phase_wall = dict(sharded.wall)
         # The parent observes every breaker itself (thermal state is

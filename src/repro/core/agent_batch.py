@@ -17,9 +17,10 @@ Bit-identical by contract, like the physics:
 * A batched read draws sensor noise with ``gen.normal(0.0, frac,
   size=k)``, which produces the same sequence as ``k`` scalar
   ``gen.normal(0.0, frac)`` calls on that sensor's dedicated stream.
-  Blocks are prefetched per sensor and guarded with the same
-  rewind-before-foreign-use proxy the physics stepper uses, so snapshot
-  capture of ``sensor._rng`` always sees the logical draw position.
+  Blocks are prefetched per sensor
+  (:class:`~repro.simulation.rng.PrefetchedNormals`, as in the physics
+  stepper), so snapshot capture of ``sensor._rng`` always sees the
+  logical draw position.
 * A batched cap writes the RAPL limit through the scalar module's own
   setter per affected row, so limit listeners (the fleet's capped-server
   index) fire exactly as they would under per-server RPCs, and
@@ -41,7 +42,9 @@ import numpy as np
 
 from repro.core.agent import DynamoAgent, agent_endpoint
 from repro.errors import ConfigurationError
-from repro.simulation.soa import ArraySlot, bind_fields
+from repro.simulation.bulk import collector_held_off
+from repro.simulation.rng import PrefetchedNormals
+from repro.simulation.soa import ArraySlot, bind_columns
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core -> rpc)
     from repro.rpc.resilient import ResilientTransport
@@ -61,26 +64,6 @@ class AgentArrays:
         self.agent_uncaps_applied = np.zeros(n, dtype=np.int64)
 
 
-class _SensorStreamGuard:
-    """Sensor-generator proxy flushing the prefetch block before any use.
-
-    Identical in spirit to the physics stepper's guard: any attribute
-    access (``normal``, ``bit_generator``, ...) first rewinds this
-    sensor's speculative block so the raw generator sits at its logical
-    draw position, then delegates.
-    """
-
-    __slots__ = ("_gen", "_flush")
-
-    def __init__(self, gen: np.random.Generator, flush) -> None:
-        self._gen = gen
-        self._flush = flush
-
-    def __getattr__(self, name: str) -> Any:
-        self._flush()
-        return getattr(self._gen, name)
-
-
 class AgentBatch:
     """Whole-fleet agent state plus batched read/cap entry points.
 
@@ -88,6 +71,7 @@ class AgentBatch:
     is a fancy-indexed load straight out of the packed power array.
     """
 
+    @collector_held_off()
     def __init__(
         self,
         agents: dict[str, DynamoAgent],
@@ -104,8 +88,9 @@ class AgentBatch:
         self._stepper = stepper
         self._power = stepper._arrays.power
         self._n = n
-        self._block = int(prefetch_draws)
         self._arrays = AgentArrays(n)
+        #: One bound method serves every server's sensor-swap hook.
+        self._sensor_listener = self._on_sensor_change
 
         self._agents: list[DynamoAgent | None] = [None] * n
         self._rapls: list[Any] = [None] * n
@@ -127,17 +112,14 @@ class AgentBatch:
         self._min_cap = np.zeros(n)
         self._clamp = np.zeros(n)
 
-        # Per-sensor prefetch buffers (one block of pre-drawn noise).
-        self._buf = np.zeros((n, self._block))
-        self._lo = np.zeros(n, dtype=np.intp)
-        self._hi = np.zeros(n, dtype=np.intp)
-        self._raw_gens: list[np.random.Generator | None] = [None] * n
-        self._saved_states: list[Any] = [None] * n
+        #: One block of pre-drawn noise per sensor stream.
+        self._noise = PrefetchedNormals(n, prefetch_draws)
 
         #: Successes served on the batched fast path since the endpoint
         #: last had its history materialized into breaker/health state.
         self.fast_successes = np.zeros(n, dtype=np.int64)
 
+        rows: list[int] = []
         for agent in agents.values():
             server = agent.server
             row = stepper._server_index.get(id(server))
@@ -146,6 +128,7 @@ class AgentBatch:
                     f"server {server.server_id!r} is not bound to the "
                     "vectorized stepper"
                 )
+            rows.append(row)
             self._agents[row] = agent
             self._rapls[row] = server.rapl
             self._servers[row] = server
@@ -155,22 +138,24 @@ class AgentBatch:
             self.row_for_server_id[server.server_id] = row
             self._min_cap[row] = server.rapl._min_cap_w
             self._clamp[row] = server.platform.effective_min_cap_w()
-            bind_fields(
-                agent, ArraySlot(self._arrays, row), DynamoAgent.SOA_FIELDS
-            )
-            server._sensor_listener = self._on_sensor_change
+            server._sensor_listener = self._sensor_listener
             sensor = server.sensor
             if sensor is None:
                 continue
+            frac = sensor._noise_fraction
+            if frac > 0.0:
+                raw = sensor._rng
+                if not PrefetchedNormals.rewindable(raw):
+                    continue  # reads stay on the agent's own handler
+                sensor._rng = self._noise.attach(row, raw, frac)
             self._built_sensors[row] = sensor
             self.sense_batchable[row] = True
-            self._frac[row] = sensor._noise_fraction
-            if sensor._noise_fraction > 0.0:
-                raw = sensor._rng
-                self._raw_gens[row] = raw
-                sensor._rng = _SensorStreamGuard(
-                    raw, lambda row=row: self._flush_stream(row)
-                )
+            self._frac[row] = frac
+        bind_columns(
+            list(agents.values()),
+            [ArraySlot(self._arrays, row) for row in rows],
+            DynamoAgent.SOA_FIELDS,
+        )
 
     def _on_sensor_change(self, server: Any, sensor: Any) -> None:
         """Track live sensor swaps (chaos faults) per row."""
@@ -186,51 +171,14 @@ class AgentBatch:
         """Per-row agent health flags (the packed array itself)."""
         return self._arrays.agent_healthy
 
-    # ------------------------------------------------------------------
-    # Prefetched sensor-noise draws
-    # ------------------------------------------------------------------
-
-    def _flush_stream(self, row: int) -> None:
-        """Rewind sensor ``row``'s speculative block to its logical position."""
-        if self._hi[row] == 0:
-            return
-        gen = self._raw_gens[row]
-        assert gen is not None
-        gen.bit_generator.state = self._saved_states[row]
-        consumed = int(self._lo[row])
-        if consumed:
-            gen.normal(0.0, self._frac[row], size=consumed)
-        self._lo[row] = 0
-        self._hi[row] = 0
-        self._saved_states[row] = None
-
-    def _refill(self, row: int) -> None:
-        gen = self._raw_gens[row]
-        assert gen is not None
-        self._saved_states[row] = gen.bit_generator.state
-        self._buf[row, :] = gen.normal(0.0, self._frac[row], size=self._block)
-        self._lo[row] = 0
-        self._hi[row] = self._block
-
-    def _draw(self, rows: np.ndarray) -> np.ndarray:
-        """One buffered noise sample per row, preserving stream order."""
-        need = rows[self._lo[rows] >= self._hi[rows]]
-        for row in need:
-            self._refill(int(row))
-        z = self._buf[rows, self._lo[rows]]
-        self._lo[rows] += 1
-        return z
-
     def sync(self) -> None:
-        """Flush every sensor prefetch buffer.
+        """Flush every sensor prefetch block.
 
         After this, every sensor generator's raw state equals its
-        logical draw position — required before RNG state is snapshotted
-        externally (the stream guards also trigger this lazily on any
-        foreign access).
+        logical draw position — required before RNG state is
+        snapshotted externally.
         """
-        for row in np.nonzero(self._hi > 0)[0]:
-            self._flush_stream(int(row))
+        self._noise.sync()
 
     # ------------------------------------------------------------------
     # Batched agent operations
@@ -249,7 +197,7 @@ class AgentBatch:
         noisy = self._frac[rows] > 0.0
         if noisy.any():
             sel = rows[noisy]
-            z = self._draw(sel)
+            z = self._noise.draw(sel)
             out[noisy] = np.maximum(0.0, out[noisy] * (1.0 + z))
         return out
 

@@ -29,6 +29,7 @@ from repro.fleet import Fleet
 from repro.power.topology import PowerTopology
 from repro.rpc.resilient import ResilientTransport
 from repro.rpc.transport import FailureInjector, RpcTransport, Transport
+from repro.simulation.bulk import collector_held_off
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.rng import RngStreams
 from repro.telemetry.alerts import AlertSink
@@ -41,6 +42,7 @@ if TYPE_CHECKING:
 class Dynamo:
     """A complete Dynamo deployment over one datacenter."""
 
+    @collector_held_off()
     def __init__(
         self,
         engine: SimulationEngine,

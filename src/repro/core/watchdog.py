@@ -70,6 +70,8 @@ class AgentWatchdog:
         self._unhealthy: set[str] = set()
         #: Agents without a health callback: checked on every sweep.
         self._polled: list[str] = []
+        #: One bound method serves every agent's health callback.
+        self._health_listener = self._on_health_change
         self._backoff_base_s = float(backoff_base_s)
         self._backoff_max_s = float(backoff_max_s)
         self._restart_budget = int(restart_budget)
@@ -95,7 +97,7 @@ class AgentWatchdog:
         self._position.setdefault(server_id, len(self._agents))
         self._agents.append(agent)
         if hasattr(agent, "_health_listener"):
-            agent._health_listener = self._on_health_change
+            agent._health_listener = self._health_listener
             if not agent.healthy:
                 self._unhealthy.add(server_id)
         else:

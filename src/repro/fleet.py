@@ -19,8 +19,9 @@ from repro.power.device import DeviceLevel, PowerDevice
 from repro.power.topology import PowerTopology
 from repro.server.platform import HASWELL_2015, ServerPlatform
 from repro.server.rapl import RaplModule
-from repro.server.server import Server
+from repro.server.server import PlatformTemplate, Server
 from repro.server.vectorized import VectorizedFleetStepper
+from repro.simulation.bulk import collector_held_off
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.process import PeriodicProcess
 from repro.simulation.rng import RngStreams
@@ -125,6 +126,7 @@ class Fleet:
             capped.pop(server_id, None)
 
 
+@collector_held_off()
 def populate_fleet(
     topology: PowerTopology,
     allocations: list[ServiceAllocation],
@@ -144,8 +146,14 @@ def populate_fleet(
     attach_points = _attach_points(topology, attach_level)
     fleet = Fleet()
     agent_config = agent_config or AgentConfig()
+    #: One calibration per hardware generation, however many servers.
+    templates: dict[ServerPlatform, PlatformTemplate] = {}
     slot = 0
     for allocation in allocations:
+        template = templates.get(allocation.platform)
+        if template is None:
+            template = PlatformTemplate(allocation.platform)
+            templates[allocation.platform] = template
         for i in range(allocation.count):
             server_id = f"{allocation.service}-{i:04d}"
             if server_id in fleet.servers:
@@ -154,7 +162,7 @@ def populate_fleet(
             workload = make_workload(allocation.service, server_rng)
             server = Server(
                 server_id,
-                allocation.platform,
+                template,
                 workload,
                 agent_config=agent_config,
                 rng=rng_streams.stream(f"sensor.{server_id}"),

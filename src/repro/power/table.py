@@ -41,7 +41,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.power.breaker import CircuitBreaker
-from repro.simulation.soa import ArraySlot, bind_fields, seq_sum
+from repro.simulation.soa import ArraySlot, bind_columns, seq_sum
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.power.device import LoadSource, PowerDevice
@@ -137,10 +137,11 @@ class DeviceTable:
         self.breaker_stress = np.zeros(n)
         self.breaker_tripped = np.zeros(n, dtype=bool)
         self.breaker_trip_time = np.full(n, math.nan)
-        for i, device in enumerate(self.devices):
-            slot = ArraySlot(self, i)
-            bind_fields(device, slot, _DEVICE_FIELDS)
-            bind_fields(device.breaker, slot, _BREAKER_FIELDS)
+        slots = [ArraySlot(self, i) for i in range(n)]
+        bind_columns(self.devices, slots, _DEVICE_FIELDS)
+        bind_columns(
+            [device.breaker for device in self.devices], slots, _BREAKER_FIELDS
+        )
 
         # Direct loads.  A device with at least one load in the packed
         # power array is summed by gather + column accumulation (loads

@@ -27,7 +27,13 @@ import threading
 from urllib.parse import parse_qs, urlsplit
 
 from repro.errors import ServeError
-from repro.serve.app import MAX_BODY_BYTES, Request, Response, ServeApp
+from repro.serve.app import (
+    MAX_BODY_BYTES,
+    Request,
+    Response,
+    ServeApp,
+    error_response,
+)
 
 #: Follow-mode poll cadence (real seconds) when a stream has no news.
 STREAM_POLL_S = 0.05
@@ -35,31 +41,55 @@ STREAM_POLL_S = 0.05
 #: Maximum bytes in a request line or header line.
 _MAX_LINE = 16 * 1024
 
+#: Maximum header lines in one request.
+_MAX_HEADERS = 100
 
-async def _read_request(reader: asyncio.StreamReader) -> Request | None:
-    """Parse one request off the wire; ``None`` on a clean EOF."""
+#: How long (real seconds) a refused connection is drained before close.
+_LINGER_S = 1.0
+
+
+async def _read_line(reader: asyncio.StreamReader, what: str) -> bytes:
+    """One line off the wire, refusing anything over :data:`_MAX_LINE`."""
     try:
         line = await reader.readline()
+    except ValueError:
+        # The StreamReader's own buffer limit, hit before ours.
+        raise ServeError(f"{what} too long") from None
+    if len(line) > _MAX_LINE:
+        raise ServeError(f"{what} too long")
+    return line
+
+
+async def _read_request(reader: asyncio.StreamReader) -> Request | None:
+    """Parse one request off the wire; ``None`` on a clean EOF.
+
+    Raises:
+        ServeError: on malformed framing (the connection cannot be
+            resynchronized; the caller answers 400 and closes).
+    """
+    try:
+        line = await _read_line(reader, "request line")
     except (ConnectionResetError, asyncio.IncompleteReadError):
         return None
     if not line:
         return None
-    if len(line) > _MAX_LINE:
-        raise ServeError("request line too long")
     try:
         method, target, _version = line.decode("ascii").split(None, 2)
     except ValueError:
-        raise ServeError(f"malformed request line {line!r}") from None
+        raise ServeError(f"malformed request line {line[:80]!r}") from None
     headers: dict[str, str] = {}
     while True:
-        header = await reader.readline()
+        header = await _read_line(reader, "header line")
         if header in (b"\r\n", b"\n", b""):
             break
-        if len(header) > _MAX_LINE:
-            raise ServeError("header line too long")
+        if len(headers) >= _MAX_HEADERS:
+            raise ServeError(f"more than {_MAX_HEADERS} header lines")
         name, _, value = header.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0") or "0")
+    raw_length = headers.get("content-length", "0") or "0"
+    if not (raw_length.isascii() and raw_length.isdigit()):
+        raise ServeError(f"malformed Content-Length {raw_length[:80]!r}")
+    length = int(raw_length)
     if length > MAX_BODY_BYTES:
         raise ServeError(f"request body of {length} bytes exceeds the cap")
     body = await reader.readexactly(length) if length else b""
@@ -75,7 +105,9 @@ async def _read_request(reader: asyncio.StreamReader) -> Request | None:
 
 
 def _head(status: int, content_type: str, extra: str = "") -> bytes:
-    reason = {200: "OK", 201: "Created", 404: "Not Found"}.get(status, "")
+    reason = {
+        200: "OK", 201: "Created", 400: "Bad Request", 404: "Not Found"
+    }.get(status, "")
     return (
         f"HTTP/1.1 {status} {reason}\r\n"
         f"Content-Type: {content_type}\r\n"
@@ -84,20 +116,25 @@ def _head(status: int, content_type: str, extra: str = "") -> bytes:
 
 
 async def _write_response(
-    writer: asyncio.StreamWriter, response: Response
+    writer: asyncio.StreamWriter, response: Response, *, close: bool = False
 ) -> bool:
-    """Send one response; returns whether the connection may be reused."""
+    """Send one response; returns whether the connection may be reused.
+
+    ``close`` announces ``Connection: close`` on a plain response (the
+    caller is about to hang up); streams always close.
+    """
     if response.stream is None:
+        connection = "Connection: close\r\n" if close else ""
         writer.write(
             _head(
                 response.status,
                 response.content_type,
-                f"Content-Length: {len(response.body)}\r\n\r\n",
+                f"Content-Length: {len(response.body)}\r\n{connection}\r\n",
             )
             + response.body
         )
         await writer.drain()
-        return True
+        return not close
     writer.write(
         _head(
             response.status,
@@ -122,6 +159,32 @@ async def _write_response(
     return False
 
 
+async def _refuse(
+    reader: asyncio.StreamReader, writer: asyncio.StreamWriter, message: str
+) -> None:
+    """Answer malformed framing with a 400, then hang up.
+
+    The stream cannot be resynchronized, so the connection closes — but
+    closing with the rest of the bad request unread makes the kernel
+    reset the peer, which can cost it the answer.  Half-close, then
+    discard what is still arriving for at most :data:`_LINGER_S`.
+    """
+    try:
+        await _write_response(
+            writer, error_response(400, message), close=True
+        )
+        if writer.can_write_eof():
+            writer.write_eof()
+        await asyncio.wait_for(_discard(reader), timeout=_LINGER_S)
+    except (ConnectionError, asyncio.TimeoutError):
+        pass
+
+
+async def _discard(reader: asyncio.StreamReader) -> None:
+    while await reader.read(_MAX_LINE):
+        pass
+
+
 async def handle_connection(
     app: ServeApp,
     reader: asyncio.StreamReader,
@@ -132,7 +195,10 @@ async def handle_connection(
         while True:
             try:
                 request = await _read_request(reader)
-            except (ServeError, asyncio.IncompleteReadError):
+            except ServeError as exc:
+                await _refuse(reader, writer, str(exc))
+                break
+            except asyncio.IncompleteReadError:
                 break
             except asyncio.CancelledError:
                 # Server shutdown while idle between requests; finish

@@ -65,8 +65,42 @@ class ConstantWorkload:
         self._utilization = float(state["utilization"])
 
 
+class PlatformTemplate:
+    """What every server of one hardware generation shares.
+
+    The paper calibrates its utilization-to-power model once per server
+    *generation* (Figure 1's Westmere and Haswell curves, the offline
+    Yokogawa sweep), not once per machine.  A template holds the parts
+    of a :class:`Server` that are a pure function of the frozen
+    :class:`ServerPlatform` — the power model and the estimator
+    calibrated from it — so a fleet builder makes them once and stamps
+    any number of servers from them.
+
+    Sharing rule: both members are immutable and nothing may mutate
+    them in place.  Tuning one server's estimator means *replacing* it
+    on that server (``server.estimator = server.estimator.recalibrate(
+    scale)`` — :meth:`PowerEstimator.recalibrate` returns a copy), which
+    leaves its platform siblings on the shared original.
+    """
+
+    __slots__ = ("platform", "power_model", "estimator")
+
+    def __init__(self, platform: ServerPlatform) -> None:
+        self.platform = platform
+        self.power_model = PowerModel(platform)
+        #: Estimator used when no sensor exists (calibrated offline).
+        self.estimator: PowerEstimator = calibrate_from_model(
+            self.power_model.power_w
+        )
+
+
 class Server:
-    """One server in the fleet."""
+    """One server in the fleet.
+
+    ``platform`` is either a bare :class:`ServerPlatform` (the server
+    gets a template of its own) or a :class:`PlatformTemplate` shared
+    with the other servers of that generation.
+    """
 
     #: Structure-of-arrays slot when bound by the vectorized backend.
     #: Bound or not, reads and writes go through these properties, so
@@ -83,17 +117,23 @@ class Server:
     def __init__(
         self,
         server_id: str,
-        platform: ServerPlatform,
+        platform: ServerPlatform | PlatformTemplate,
         workload: Workload,
         *,
         agent_config: AgentConfig | None = None,
         rng: np.random.Generator | None = None,
         turbo_enabled: bool = False,
     ) -> None:
+        template = (
+            platform
+            if isinstance(platform, PlatformTemplate)
+            else PlatformTemplate(platform)
+        )
+        platform = template.platform
         self.server_id = server_id
         self.platform = platform
         self.workload = workload
-        self.power_model = PowerModel(platform)
+        self.power_model = template.power_model
         self.turbo = TurboBoost(platform, enabled=turbo_enabled)
         config = agent_config or AgentConfig()
         self.rapl = RaplModule(
@@ -101,13 +141,12 @@ class Server:
             min_cap_w=platform.effective_min_cap_w(),
             initial_power_w=platform.idle_power_w,
         )
+        self._sensor_listener = None
         self._sensor: PowerSensor | None = None
         if platform.has_power_sensor:
             self._sensor = PowerSensor(config.sensor_noise_fraction, rng)
-        #: Estimator used when no sensor exists (calibrated offline).
-        self.estimator: PowerEstimator = calibrate_from_model(
-            self.power_model.power_w
-        )
+        #: Shared with the template until something recalibrates it.
+        self.estimator: PowerEstimator = template.estimator
         self._current_power_w = platform.idle_power_w
         self._current_utilization = 0.0
         self._demanded_work = 0.0
@@ -280,7 +319,9 @@ class Server:
         else:
             self.turbo.disable()
         self.rapl.restore_state(state["rapl"])
-        self.estimator = PowerEstimator.from_snapshot(state["estimator"])
+        if state["estimator"] != self.estimator.snapshot_state():
+            # Recalibrated since the build: this server gets its own.
+            self.estimator = PowerEstimator.from_snapshot(state["estimator"])
         if state["sensor"] is not None and isinstance(
             self.sensor, PowerSensor
         ):

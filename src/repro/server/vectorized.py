@@ -24,15 +24,14 @@ implementation in ways worth spelling out:
   rows: one code path whether every row is online, some are offline,
   or a shard owns a subset — and rows outside the mask are untouched.
 * RNG draw order is preserved per stream.  Each server's workload
-  normals are prefetched in blocks (``gen.normal(size=k)`` produces the
-  same sequence as ``k`` scalar calls); any *other* draw on that stream
-  — burst arrivals, hadoop phase lengths, snapshot-time state capture —
-  must see the generator at its logical position, so every bound stream
-  is wrapped in a :class:`_StreamGuard` that rewinds the speculative
-  block (restore saved state, re-draw the consumed prefix) before
-  delegating.  Ticks where a server crosses a burst arrival or hadoop
-  phase boundary fall back to the scalar ``utilization()`` call for
-  just that server, so variable-count draws happen in scalar order.
+  normals are prefetched in blocks
+  (:class:`~repro.simulation.rng.PrefetchedNormals`); any *other* draw
+  on that stream — burst arrivals, hadoop phase lengths, snapshot-time
+  state capture — goes through the guard it installs and so sees the
+  generator at its logical position.  Ticks where a server crosses a
+  burst arrival or hadoop phase boundary fall back to the scalar
+  ``utilization()`` call for just that server, so variable-count draws
+  happen in scalar order.
 
 State is shared, not copied: the scalar objects stay alive as views
 onto the arrays (agents, chaos faults, and snapshots read and write
@@ -42,13 +41,15 @@ through the same properties on either backend).
 from __future__ import annotations
 
 import math
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
 from repro.server.power_model import PowerModel
 from repro.server.server import Server
-from repro.simulation.soa import ArraySlot, bind_fields
+from repro.simulation.bulk import collector_held_off
+from repro.simulation.rng import PrefetchedNormals
+from repro.simulation.soa import ArraySlot, bind_columns
 from repro.units import SECONDS_PER_DAY
 from repro.workloads.base import StochasticWorkload
 from repro.workloads.cache import CacheWorkload
@@ -75,27 +76,6 @@ _SERVER_FIELDS = (
 
 #: Workload classes whose diurnal base trend is held in ``_shape``.
 _DIURNAL_TYPES = (WebWorkload, CacheWorkload, DatabaseWorkload, NewsfeedWorkload)
-
-
-class _StreamGuard:
-    """Generator proxy that flushes a prefetch buffer before any use.
-
-    Installed in place of a server's workload generator once the stepper
-    has speculatively drawn a block of normals from it.  Any attribute
-    access (``normal``, ``exponential``, ``bit_generator``, ...) first
-    rewinds the owning server's buffer so the underlying generator sits
-    at its logical draw position, then delegates.
-    """
-
-    __slots__ = ("_gen", "_flush")
-
-    def __init__(self, gen: np.random.Generator, flush: Callable[[], None]) -> None:
-        self._gen = gen
-        self._flush = flush
-
-    def __getattr__(self, name: str) -> Any:
-        self._flush()
-        return getattr(self._gen, name)
 
 
 class FleetArrays:
@@ -129,12 +109,12 @@ class FleetArrays:
 class VectorizedFleetStepper:
     """Advances every server in a fleet per tick with array operations."""
 
+    @collector_held_off()
     def __init__(self, fleet: Any, *, prefetch_draws: int = 64) -> None:
         servers = list(fleet.servers.values())
         n = len(servers)
         self._fleet = fleet
         self._n = n
-        self._block = int(prefetch_draws)
         a = FleetArrays(n)
         self._arrays = a
 
@@ -168,12 +148,10 @@ class VectorizedFleetStepper:
         self.step_count = 0
         self.fallback_server_steps = 0
 
-        # Prefetch buffers: one block of pre-drawn normals per stream.
-        self._buf = np.zeros((n, self._block))
-        self._lo = np.zeros(n, dtype=np.intp)
-        self._hi = np.zeros(n, dtype=np.intp)
-        self._raw_gens: list[np.random.Generator | None] = [None] * n
-        self._saved_states: list[Any] = [None] * n
+        #: One block of pre-drawn normals per workload stream.
+        self._normals = PrefetchedNormals(n, prefetch_draws)
+        #: One bound method serves every workload's modifier hook.
+        self._modifier_hook = self._on_modifiers
 
         # Group indices and coefficient caches.
         diurnal: dict[Any, list[int]] = {}
@@ -184,14 +162,41 @@ class VectorizedFleetStepper:
         self._ou_coeff_cache: dict[tuple[float, float, float], tuple[float, float]] = {}
         self._rapl_alpha_cache: dict[tuple[float, float], float] = {}
 
+        # Seed the arrays a column at a time, then point the scalar
+        # objects at their rows.
+        slots = [ArraySlot(a, i) for i in range(n)]
+        bind_columns(servers, slots, _SERVER_FIELDS)
+        rapls = [s.rapl for s in servers]
+        limits = [r.limit_w for r in rapls]
+        a.rapl_limit[:] = [math.inf if v is None else v for v in limits]
+        bind_columns(rapls, slots, ("_enforced_power_w",))
+        bind_columns([s.turbo for s in servers], slots, ("_enabled",))
         for i, srv in enumerate(servers):
-            slot = ArraySlot(a, i)
-            bind_fields(srv, slot, _SERVER_FIELDS)
-            bind_fields(srv.rapl, slot, ("_enforced_power_w", "_limit_w"))
-            bind_fields(srv.turbo, slot, ("_enabled",))
             exps.setdefault(srv.platform.curve_exponent, []).append(i)
             rapl.setdefault(srv.rapl._tau_s, []).append(i)
-            self._bind_workload(i, srv.workload, slot, diurnal, const, ou)
+            self._classify_workload(i, srv.workload, diurnal, const, ou)
+        packed = [
+            i
+            for i, w in enumerate(self._workloads)
+            if isinstance(w, StochasticWorkload)
+        ]
+        packed_slots = [slots[i] for i in packed]
+        bind_columns(
+            [self._workloads[i]._noise for i in packed],
+            packed_slots,
+            ("_value", "_last_time"),
+        )
+        bind_columns(
+            [self._workloads[i]._bursts for i in packed],
+            packed_slots,
+            ("_next_start", "_active_until", "_active_magnitude"),
+        )
+        hadoop = np.flatnonzero(self._hadoop_mask).tolist()
+        bind_columns(
+            [self._workloads[i] for i in hadoop],
+            [slots[i] for i in hadoop],
+            ("_phase_is_compute", "_phase_end_s"),
+        )
 
         def _groups(mapping: dict) -> list[tuple[Any, np.ndarray]]:
             return [
@@ -232,15 +237,15 @@ class VectorizedFleetStepper:
     # Binding
     # ------------------------------------------------------------------
 
-    def _bind_workload(
+    def _classify_workload(
         self,
         i: int,
         workload: Any,
-        slot: ArraySlot,
         diurnal: dict,
         const: dict,
         ou: dict,
     ) -> None:
+        """Pick row ``i``'s lane and parameter groups; hook its streams."""
         if not isinstance(workload, StochasticWorkload):
             # ConstantWorkload and anything unknown: correct via the
             # scalar path every tick (no stochastic state to pack).
@@ -249,22 +254,21 @@ class VectorizedFleetStepper:
 
         noise = workload._noise
         bursts = workload._bursts
-        bind_fields(noise, slot, ("_value", "_last_time"))
-        bind_fields(bursts, slot, ("_next_start", "_active_until", "_active_magnitude"))
         self._burst_rate[i] = bursts._rate
-
-        # Wrap every distinct generator this workload draws from with a
-        # guard that rewinds the prefetch buffer before foreign draws.
         raw = noise._rng
-        guard = _StreamGuard(raw, lambda i=i: self._flush_stream(i))
-        self._raw_gens[i] = raw
-        noise._rng = guard
-        if bursts._rng is raw:
-            bursts._rng = guard
-        else:  # pragma: no cover - streams are shared in practice
-            bursts._rng = _StreamGuard(bursts._rng, lambda i=i: self._flush_stream(i))
+        if bursts._rng is not raw or not PrefetchedNormals.rewindable(raw):
+            # The vector lane takes every draw of a row from one
+            # rewindable stream; anything else steps on the scalar path.
+            self._always_fallback[i] = True
+            return
 
-        workload._modifier_hook = lambda i=i, w=workload: self._on_modifiers(i, w)
+        # Foreign draws on the stream go through the guard, which
+        # rewinds the prefetched block first.
+        guard = self._normals.attach(i, raw)
+        noise._rng = guard
+        bursts._rng = guard
+
+        workload._modifier_hook = self._modifier_hook
         if workload._modifiers:
             self._modified.add(i)
 
@@ -274,7 +278,6 @@ class VectorizedFleetStepper:
         elif kind is StorageWorkload:
             const.setdefault(workload._base_level, []).append(i)
         elif kind is HadoopWorkload:
-            bind_fields(workload, slot, ("_phase_is_compute", "_phase_end_s"))
             self._hadoop_hi[i] = workload._compute_level
             self._hadoop_lo[i] = workload._io_level
             self._hadoop_mask[i] = True
@@ -350,55 +353,16 @@ class VectorizedFleetStepper:
         self._rapl_groups = _filter(rapl)
         self._hadoop_idx = np.nonzero(self._hadoop_mask)[0]
 
-    def _on_modifiers(self, i: int, workload: StochasticWorkload) -> None:
+    def _on_modifiers(self, workload: StochasticWorkload) -> None:
+        i = workload._noise._soa.index
         if workload._modifiers:
             self._modified.add(i)
         else:
             self._modified.discard(i)
 
-    # ------------------------------------------------------------------
-    # Prefetched draws
-    # ------------------------------------------------------------------
-
-    def _flush_stream(self, i: int) -> None:
-        """Rewind server ``i``'s speculative block to the logical position."""
-        if self._hi[i] == 0:
-            return
-        gen = self._raw_gens[i]
-        assert gen is not None
-        gen.bit_generator.state = self._saved_states[i]
-        consumed = int(self._lo[i])
-        if consumed:
-            gen.normal(size=consumed)
-        self._lo[i] = 0
-        self._hi[i] = 0
-        self._saved_states[i] = None
-
-    def _refill(self, i: int) -> None:
-        gen = self._raw_gens[i]
-        assert gen is not None
-        self._saved_states[i] = gen.bit_generator.state
-        self._buf[i, :] = gen.normal(size=self._block)
-        self._lo[i] = 0
-        self._hi[i] = self._block
-
-    def _draw(self, rows: np.ndarray) -> np.ndarray:
-        """One buffered standard normal per row, preserving stream order."""
-        need = rows[self._lo[rows] >= self._hi[rows]]
-        for i in need:
-            self._refill(int(i))
-        z = self._buf[rows, self._lo[rows]]
-        self._lo[rows] += 1
-        return z
-
     def sync(self) -> None:
-        """Flush every prefetch buffer.
-
-        After this, every generator's raw state equals its logical draw
-        position — required before RNG state is snapshotted externally.
-        """
-        for i in np.nonzero(self._hi > 0)[0]:
-            self._flush_stream(int(i))
+        """Flush every prefetch block (before RNG state is read externally)."""
+        self._normals.sync()
 
     # ------------------------------------------------------------------
     # Coefficients (scalar math per unique argument, matching the
@@ -448,6 +412,22 @@ class VectorizedFleetStepper:
         fallback = self._always_fallback.copy()
         if self._hadoop_idx.size:
             fallback |= self._hadoop_mask & (now_s >= a.hadoop_end)
+        # A row sampled for the first time has no arrival drawn yet.
+        # Its noise makes no draw on that sample, so the exponential is
+        # the stream's next draw on the scalar path too: take it here
+        # rather than send the whole fleet down the scalar lane at t=0.
+        undrawn = self._burst_pos & online & ~fallback
+        undrawn &= np.isnan(a.burst_next) & np.isnan(a.ou_last)
+        first = np.flatnonzero(undrawn)
+        if first.size:
+            generator = self._normals.generator
+            scales = (1.0 / self._burst_rate[first]).tolist()
+            a.burst_next[first] = now_s + np.array(
+                [
+                    generator(i).exponential(scale)
+                    for i, scale in zip(first.tolist(), scales)
+                ]
+            )
         fallback |= self._burst_pos & (
             np.isnan(a.burst_next) | (now_s >= a.burst_next)
         )
@@ -490,7 +470,7 @@ class VectorizedFleetStepper:
                         ]
                     for dt, rows in subsets:
                         decay, diffusion = self._ou_coeffs(tau_s, sigma, dt)
-                        z = self._draw(rows)
+                        z = self._normals.draw(rows)
                         a.ou_value[rows] = a.ou_value[rows] * decay + diffusion * z
                     a.ou_last[sel] = now_s
             np.add(u, a.ou_value, out=u, where=ou_elig)

@@ -16,15 +16,16 @@ A class opts in per field with :func:`array_backed`::
 
 Unbound instances (``_soa is None``) store the value in a shadow
 attribute, so the scalar backend pays only a property indirection.
-Binding an instance means copying its shadow values into the arrays and
-assigning ``_soa``; the shadow copies are never read again until the
+Binding is by column (:func:`bind_columns`): each field's current values
+are written into the packed array in one assignment, then every object
+is pointed at its slot; the shadow copies are never read again until the
 slot is released.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 
 
 class ArraySlot:
@@ -61,7 +62,16 @@ def _shadow(array_name: str) -> str:
     return "_soa_shadow_" + array_name
 
 
-def array_backed(array_name: str, *, kind: str = "float") -> property:
+class ArrayBackedProperty(property):
+    """An :func:`array_backed` property, remembering where it points."""
+
+    array_name: str
+    kind: str
+
+
+def array_backed(
+    array_name: str, *, kind: str = "float"
+) -> ArrayBackedProperty:
     """A property redirecting a scalar field into a packed-array slot.
 
     ``kind`` selects the value mapping:
@@ -139,18 +149,35 @@ def array_backed(array_name: str, *, kind: str = "float") -> property:
     else:  # pragma: no cover - defensive
         raise ValueError(f"unknown array_backed kind {kind!r}")
 
-    return property(fget, fset)
+    prop = ArrayBackedProperty(fget, fset)
+    prop.array_name = array_name
+    prop.kind = kind
+    return prop
 
 
-def bind_fields(obj: Any, slot: ArraySlot, fields: tuple[str, ...]) -> None:
-    """Bind ``obj`` to ``slot``, seeding arrays from its shadow values.
+def bind_columns(
+    objs: Sequence[Any], slots: Sequence[ArraySlot], fields: tuple[str, ...]
+) -> None:
+    """Bind ``objs[k]`` to ``slots[k]``, seeding the arrays by column.
 
-    ``fields`` lists the array-backed attribute names.  The current
-    (shadow) value of each is written through the property *after*
-    ``_soa`` is assigned, so it lands in the array with the right value
-    mapping applied.
+    ``objs`` are instances of one class, ``slots`` rows of one arrays
+    object and ``fields`` the class's :func:`array_backed` attribute
+    names.  Each field's current values (read through the property, so
+    a value living in a previous binding's arrays carries over) are
+    written with one fancy-indexed assignment — the array's dtype and
+    the ``None`` -> NaN encoding do what the property setter does per
+    value — and only then is every object pointed at its slot.
     """
-    values = {attr: getattr(obj, attr) for attr in fields}
-    obj._soa = slot
-    for attr, value in values.items():
-        setattr(obj, attr, value)
+    if not objs:
+        return
+    cls = type(objs[0])
+    arrays = slots[0].arrays
+    rows = [slot.index for slot in slots]
+    for attr in fields:
+        prop: ArrayBackedProperty = getattr(cls, attr)
+        column = [getattr(obj, attr) for obj in objs]
+        if prop.kind == "nan_none":
+            column = [math.nan if v is None else v for v in column]
+        getattr(arrays, prop.array_name)[rows] = column
+    for obj, slot in zip(objs, slots):
+        obj._soa = slot

@@ -157,12 +157,17 @@ def build_sized_world(
     control_backend: str = "scalar",
     execution_backend: str = "single",
     shards: int = 1,
+    on_phase: Callable[[str], None] | None = None,
 ) -> "World | ShardedWorld":
     """A parametric-size deployment for profiling and benchmarks.
 
     Lays ``servers`` machines (2:1 web:cache) across a topology that
     scales its RPP fan-out with fleet size, so leaf controllers keep a
     realistic span (~hundreds of servers per leaf) as the fleet grows.
+
+    ``on_phase`` is called with a phase name as each set-up phase
+    completes (``repro profile``'s set-up table); it is not part of the
+    recipe.
     """
     from repro.fleet import ServiceAllocation, populate_fleet
     from repro.power.builder import DataCenterSpec, build_datacenter
@@ -179,6 +184,8 @@ def build_sized_world(
         )
     )
     plan_quotas(topology)
+    done = on_phase or (lambda phase: None)
+    done("topology")
     rng = RngStreams(seed)
     web = (servers * 2) // 3
     fleet = populate_fleet(
@@ -189,12 +196,17 @@ def build_sized_world(
         ],
         rng,
     )
+    done("populate")
     dynamo = Dynamo(engine, topology, fleet, rng_streams=rng.fork("dynamo"))
+    done("Dynamo")
     driver = FleetDriver(
         engine, topology, fleet, physics_backend=physics_backend
     )
+    if physics_backend == "vectorized":
+        done("stepper bind")
     if control_backend == "vectorized":
         dynamo.enable_vectorized_control(driver)
+        done("agent-batch bind")
     driver.start()
     dynamo.start()
     world = World(

@@ -164,10 +164,10 @@ class StochasticWorkload:
     terms through the constructor.
     """
 
-    #: Set by the vectorized backend: called with no arguments whenever
-    #: the modifier list changes, so the stepper can move this workload
-    #: between its vector lane and the scalar modifier post-pass.
-    _modifier_hook: Callable[[], None] | None = None
+    #: Set by the vectorized backend: called with this workload whenever
+    #: the modifier list changes, so the stepper can move it between its
+    #: vector lane and the scalar modifier post-pass.
+    _modifier_hook: Callable[["StochasticWorkload"], None] | None = None
 
     def __init__(
         self,
@@ -195,13 +195,13 @@ class StochasticWorkload:
         """Attach a traffic event (load test, surge, outage trace)."""
         self._modifiers.append(modifier)
         if self._modifier_hook is not None:
-            self._modifier_hook()
+            self._modifier_hook(self)
 
     def remove_modifier(self, modifier: WorkloadModifier) -> None:
         """Detach a previously added modifier."""
         self._modifiers.remove(modifier)
         if self._modifier_hook is not None:
-            self._modifier_hook()
+            self._modifier_hook(self)
 
     def utilization(self, now_s: float) -> float:
         """Demanded CPU utilization in [0, 1] at ``now_s``."""
@@ -254,4 +254,4 @@ class StochasticWorkload:
         self._modifiers = [decode_modifier(m) for m in state["modifiers"]]
         self.restore_extra_state(state.get("extra", {}))
         if self._modifier_hook is not None:
-            self._modifier_hook()
+            self._modifier_hook(self)

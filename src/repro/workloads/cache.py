@@ -13,6 +13,9 @@ import numpy as np
 from repro.workloads.base import StochasticWorkload
 from repro.workloads.diurnal import DiurnalShape
 
+#: Frozen, so every server of the service shares the one instance.
+_DEFAULT_SHAPE = DiurnalShape(trough=0.45, peak=0.65)
+
 
 class CacheWorkload(StochasticWorkload):
     """Gently diurnal, low-noise demand."""
@@ -32,7 +35,7 @@ class CacheWorkload(StochasticWorkload):
             burst_magnitude=0.08,
             burst_duration_s=60.0,
         )
-        self._shape = shape or DiurnalShape(trough=0.45, peak=0.65)
+        self._shape = shape or _DEFAULT_SHAPE
 
     def base_utilization(self, now_s: float) -> float:
         """Mild diurnal trend around a high steady level."""

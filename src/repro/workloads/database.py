@@ -13,6 +13,9 @@ import numpy as np
 from repro.workloads.base import StochasticWorkload
 from repro.workloads.diurnal import DiurnalShape
 
+#: Frozen, so every server of the service shares the one instance.
+_DEFAULT_SHAPE = DiurnalShape(trough=0.35, peak=0.60)
+
 
 class DatabaseWorkload(StochasticWorkload):
     """Diurnal query load plus episodic maintenance bursts."""
@@ -33,7 +36,7 @@ class DatabaseWorkload(StochasticWorkload):
             burst_magnitude=0.16,
             burst_duration_s=90.0,
         )
-        self._shape = shape or DiurnalShape(trough=0.35, peak=0.60)
+        self._shape = shape or _DEFAULT_SHAPE
 
     def base_utilization(self, now_s: float) -> float:
         """Diurnal query trend."""

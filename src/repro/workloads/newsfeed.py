@@ -13,6 +13,9 @@ import numpy as np
 from repro.workloads.base import StochasticWorkload
 from repro.workloads.diurnal import DiurnalShape
 
+#: Frozen, so every server of the service shares the one instance.
+_DEFAULT_SHAPE = DiurnalShape(trough=0.30, peak=0.65)
+
 
 class NewsfeedWorkload(StochasticWorkload):
     """Diurnal trend with very large, fast fluctuations."""
@@ -34,7 +37,7 @@ class NewsfeedWorkload(StochasticWorkload):
             burst_magnitude=0.12,
             burst_duration_s=30.0,
         )
-        self._shape = shape or DiurnalShape(trough=0.30, peak=0.65)
+        self._shape = shape or _DEFAULT_SHAPE
 
     def base_utilization(self, now_s: float) -> float:
         """Diurnal trend."""

@@ -13,6 +13,9 @@ import numpy as np
 from repro.workloads.base import StochasticWorkload
 from repro.workloads.diurnal import DiurnalShape
 
+#: Frozen, so every server of the service shares the one instance.
+_DEFAULT_SHAPE = DiurnalShape(trough=0.30, peak=0.70)
+
 
 class WebWorkload(StochasticWorkload):
     """Diurnal user traffic with large fast noise."""
@@ -34,7 +37,7 @@ class WebWorkload(StochasticWorkload):
             burst_magnitude=0.08,
             burst_duration_s=45.0,
         )
-        self._shape = shape or DiurnalShape(trough=0.30, peak=0.70)
+        self._shape = shape or _DEFAULT_SHAPE
 
     def base_utilization(self, now_s: float) -> float:
         """Diurnal trend."""

@@ -96,6 +96,89 @@ class TestChaosCommand:
         assert "invalid ticks" in out
 
 
+class TestProfileCommand:
+    SETUP_PHASES = [
+        "topology",
+        "populate",
+        "Dynamo",
+        "stepper bind",
+        "agent-batch bind",
+        "first cycle",
+    ]
+
+    @staticmethod
+    def _setup_rows(out: str) -> dict[str, list[str]]:
+        """Set-up table rows keyed by phase, as printed, in order."""
+        lines = out.splitlines()
+        start = next(
+            i for i, line in enumerate(lines) if line.startswith("set-up (")
+        )
+        rows = {}
+        for line in lines[start + 2 :]:
+            if not line.strip():
+                break
+            phase, *cells = line.rsplit(None, 6)
+            rows[phase.strip()] = cells
+        return rows
+
+    def test_setup_table_precedes_the_tick_table(self, capsys):
+        code = main(
+            [
+                "profile",
+                "--servers",
+                "504",
+                "--physics-backend",
+                "vectorized",
+                "--control-backend",
+                "vectorized",
+                "--duration-h",
+                "0.005",
+                "--top",
+                "3",
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.index("set-up (504 servers):") < out.index("profiled ")
+        header = out.splitlines()[1].split()
+        assert header == [
+            "phase", "wall_s", "objects", "gen0", "gen1", "gen2", "rss_mb"
+        ]
+        rows = self._setup_rows(out)
+        assert list(rows)[:-1] == self.SETUP_PHASES
+        for phase in self.SETUP_PHASES:
+            wall_s, objects, gen0, gen1, gen2, rss_mb = rows[phase]
+            assert float(wall_s) >= 0.0 and float(rss_mb) > 0.0
+            assert int(gen0) >= 0 and int(gen1) >= 0 and int(gen2) >= 0
+        # the fleet's objects are created where the table says they are
+        assert int(rows["populate"][1]) > 504 * 10
+        assert int(rows["Dynamo"][1]) > 504 * 4
+        assert int(rows["agent-batch bind"][1]) >= 504 * 2
+        # and the bulk builders hold the collector off (a young pass can
+        # still fire in the few statements between two builders)
+        for phase in ("populate", "Dynamo", "stepper bind", "agent-batch bind"):
+            gen0, gen1, gen2 = map(int, rows[phase][2:5])
+            assert gen0 <= 1 and gen1 <= 1 and gen2 == 0, phase
+        total = out.splitlines()[len(self.SETUP_PHASES) + 2].split()
+        assert total[0] == "total"
+        assert float(total[1]) == pytest.approx(
+            sum(float(rows[p][0]) for p in self.SETUP_PHASES), abs=0.01
+        )
+        # the tick table still follows, with the first cycle's physics in it
+        assert "physics" in out and "top 3 functions" in out
+
+    def test_scalar_world_has_no_bind_rows(self, capsys):
+        assert main(["profile", "--servers", "120", "--duration-h", "0.005"]) == 0
+        rows = self._setup_rows(capsys.readouterr().out)
+        assert list(rows) == [
+            "topology", "populate", "Dynamo", "first cycle", "total"
+        ]
+
+    def test_named_scenarios_print_no_setup_table(self, capsys):
+        assert main(["profile", "quickstart", "--duration-h", "0.005"]) == 0
+        assert "set-up (" not in capsys.readouterr().out
+
+
 class TestHealthCommand:
     def test_health_quickstart_leaf(self, capsys):
         code = main(["health", "rpp0.0.0", "--duration-h", "0.05"])

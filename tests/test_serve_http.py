@@ -6,6 +6,8 @@ receives chaos faults and configuration changes must not perturb a
 sibling forked from the same snapshot by a single byte.
 """
 
+import json
+import socket
 import threading
 import time
 
@@ -116,6 +118,90 @@ class TestTransport:
         frozen = client.session(sid)["time_s"]
         time.sleep(0.1)
         assert client.session(sid)["time_s"] == pytest.approx(frozen)
+
+
+def _raw_exchange(server, payload: bytes) -> bytes:
+    """Send ``payload`` on a fresh socket; everything the server answers."""
+    with socket.create_connection((server.host, server.port), timeout=10.0) as sock:
+        try:
+            sock.sendall(payload)
+            sock.shutdown(socket.SHUT_WR)
+        except OSError:
+            pass  # the server may hang up on a request it already refused
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+class TestMalformedFraming:
+    """Bad framing is answered with a 400 and a close, never a dropped
+    socket or an unhandled task exception — and never takes the server
+    down for the next client."""
+
+    @pytest.mark.parametrize(
+        "payload, complaint",
+        [
+            (
+                b"POST /sessions HTTP/1.1\r\nContent-Length: ten\r\n\r\n",
+                "Content-Length",
+            ),
+            (
+                b"POST /sessions HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+                "Content-Length",
+            ),
+            (
+                b"POST /sessions HTTP/1.1\r\nContent-Length: +5\r\n\r\nhello",
+                "Content-Length",
+            ),
+            (
+                b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * 200_000 + b"\r\n\r\n",
+                "too long",
+            ),
+            (b"GET /" + b"a" * 20_000 + b" HTTP/1.1\r\n\r\n", "too long"),
+            (
+                b"GET /healthz HTTP/1.1\r\n"
+                + b"".join(b"X-%d: v\r\n" % i for i in range(10_000))
+                + b"\r\n",
+                "header lines",
+            ),
+            (b"GET /healthz\xff\xfe HTTP/1.1\r\n\r\n", "request line"),
+            (b"nonsense\r\n\r\n", "request line"),
+        ],
+        ids=[
+            "non-integer-length",
+            "negative-length",
+            "signed-length",
+            "line-over-reader-limit",
+            "line-over-cap",
+            "10k-headers",
+            "non-ascii-request-line",
+            "no-target",
+        ],
+    )
+    def test_answers_400_and_closes(self, server, client, payload, complaint):
+        reply = _raw_exchange(server, payload)
+        head, _, body = reply.partition(b"\r\n\r\n")
+        lines = head.decode("ascii").split("\r\n")
+        assert lines[0] == "HTTP/1.1 400 Bad Request"
+        assert "Connection: close" in lines
+        assert f"Content-Length: {len(body)}" in lines
+        assert complaint in json.loads(body)["error"]
+        # a well-formed request on a fresh connection is still served
+        assert client.healthz()["status"] == "ok"
+
+    def test_header_cap_admits_ordinary_requests(self, server):
+        payload = (
+            b"GET /healthz HTTP/1.1\r\n"
+            + b"".join(b"X-%d: v\r\n" % i for i in range(100))
+            + b"Connection: close\r\n\r\n"
+        )
+        # 101 header lines, 101 distinct names: one over the cap
+        assert _raw_exchange(server, payload).startswith(b"HTTP/1.1 400")
+        payload = payload.replace(b"X-99: v\r\n", b"")
+        assert _raw_exchange(server, payload).startswith(b"HTTP/1.1 200")
 
 
 class TestSessionIsolation:

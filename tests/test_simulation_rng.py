@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simulation.rng import RngStreams
+from repro.simulation.rng import PrefetchedNormals, RngStreams
 
 
 def test_same_name_same_stream_object():
@@ -129,3 +129,53 @@ def test_restore_untouched_stream_matches_origin(seed, drawn):
     a = streams.stream("fresh").random(4)
     b = restored.stream("fresh").random(4)
     assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# Prefetched blocks: speculative draws that any foreign use rewinds
+# ---------------------------------------------------------------------------
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    block=st.integers(min_value=1, max_value=9),
+    plan=st.lists(
+        st.sampled_from(["tick", "tick", "tick", "exponential", "integers"]),
+        min_size=1,
+        max_size=40,
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_prefetched_rows_interleave_like_scalar_draws(seed, block, plan):
+    """Buffered normals and guarded foreign draws, in any order, read the
+    streams exactly as the same calls made one at a time would."""
+    scales = (1.0, 0.005)
+    reference = [np.random.default_rng([seed, row]) for row in range(2)]
+    normals = PrefetchedNormals(2, block)
+    guards = [
+        normals.attach(row, np.random.default_rng([seed, row]), scales[row])
+        for row in range(2)
+    ]
+    rows = np.arange(2)
+    for step in plan:
+        if step == "tick":
+            expected = [g.normal(0.0, s) for g, s in zip(reference, scales)]
+            assert normals.draw(rows).tolist() == expected
+        elif step == "exponential":
+            assert guards[0].exponential(900.0) == reference[0].exponential(900.0)
+        else:  # a 32-bit draw leaves half a word buffered in the state
+            assert guards[1].integers(0, 2) == reference[1].integers(0, 2)
+    normals.sync()
+    for row in range(2):
+        assert (
+            normals.generator(row).bit_generator.state
+            == reference[row].bit_generator.state
+        )
+
+
+def test_only_pcg64_streams_are_rewindable():
+    assert PrefetchedNormals.rewindable(np.random.default_rng(1))
+    assert not PrefetchedNormals.rewindable(
+        np.random.Generator(np.random.MT19937(1))
+    )
+    assert not PrefetchedNormals.rewindable(object())

@@ -434,3 +434,265 @@ class TestCappedRowsAndMaskedAccounting:
         stepper.set_owned_mask(None)
         stepper.step(4.0, 1.0)
         assert vector.servers["s000"]._last_step_s == 4.0
+
+
+# ---------------------------------------------------------------------------
+# Column seeding, and the first step off the scalar lane
+# ---------------------------------------------------------------------------
+
+
+def _bind_fields(obj, slot, fields) -> None:
+    """The per-object seeding that column binding replaced (the oracle):
+    read every field, point the object at its slot, write every field
+    back through the property."""
+    values = {attr: getattr(obj, attr) for attr in fields}
+    obj._soa = slot
+    for attr, value in values.items():
+        setattr(obj, attr, value)
+
+
+def _mixed_world(seed: int = 21):
+    """A stepped scalar world with every kind of row the binder meets.
+
+    Hadoop with Turbo on, sensor-less Westmere web servers, plain
+    Haswell cache; one server capped, one offline, one agent crashed —
+    and every stochastic process advanced, so no column is at its
+    constructor default.
+    """
+    from repro.core.dynamo import Dynamo
+    from repro.fleet import FleetDriver, ServiceAllocation, populate_fleet
+    from repro.power.builder import DataCenterSpec, build_datacenter
+    from repro.server.platform import WESTMERE_2011
+    from repro.simulation.engine import SimulationEngine
+    from repro.simulation.rng import RngStreams
+
+    engine = SimulationEngine()
+    topology = build_datacenter(
+        DataCenterSpec(msb_count=1, sbs_per_msb=1, rpps_per_sb=2, racks_per_rpp=2)
+    )
+    rng = RngStreams(seed)
+    fleet = populate_fleet(
+        topology,
+        [
+            ServiceAllocation("hadoop", 7, turbo_enabled=True),
+            ServiceAllocation("web", 6, platform=WESTMERE_2011),
+            ServiceAllocation("cache", 5),
+            ServiceAllocation("f4storage", 3),
+        ],
+        rng,
+    )
+    dynamo = Dynamo(engine, topology, fleet, rng_streams=rng.fork("dynamo"))
+    driver = FleetDriver(engine, topology, fleet)
+    driver.start()
+    dynamo.start()
+    engine.run_until(400.0)  # past hadoop phase changes (mean 300 s)
+    fleet.server("cache-0001").rapl.set_limit(210.0)
+    fleet.server("web-0002").set_online(False)
+    engine.run_until(420.0)
+    dynamo.agents["hadoop-0003"].crash()
+    return fleet, dynamo
+
+
+def _arrays_equal(a, b) -> list[str]:
+    """Names of the array attributes on which ``a`` and ``b`` differ."""
+    assert vars(a).keys() == vars(b).keys()
+    return [
+        name
+        for name, column in vars(a).items()
+        if not np.array_equal(
+            column, getattr(b, name), equal_nan=column.dtype.kind == "f"
+        )
+    ]
+
+
+class TestColumnSeeding:
+    def test_matches_per_object_seeding_on_a_mixed_fleet(self):
+        from repro.core.agent import DynamoAgent
+        from repro.core.agent_batch import AgentArrays, AgentBatch
+        from repro.server.vectorized import (
+            _SERVER_FIELDS,
+            FleetArrays,
+            VectorizedFleetStepper,
+        )
+        from repro.simulation.soa import ArraySlot
+        from repro.workloads.base import StochasticWorkload
+        from repro.workloads.hadoop import HadoopWorkload
+
+        fleet, dynamo = _mixed_world()
+        twin, twin_dynamo = _mixed_world()
+
+        stepper = VectorizedFleetStepper(fleet)
+        batch = AgentBatch(dynamo.agents, stepper)
+
+        n = len(twin.servers)
+        arrays, agent_arrays = FleetArrays(n), AgentArrays(n)
+        for i, (sid, server) in enumerate(twin.servers.items()):
+            slot = ArraySlot(arrays, i)
+            _bind_fields(server, slot, _SERVER_FIELDS)
+            _bind_fields(server.rapl, slot, ("_enforced_power_w", "_limit_w"))
+            _bind_fields(server.turbo, slot, ("_enabled",))
+            workload = server.workload
+            assert isinstance(workload, StochasticWorkload)
+            _bind_fields(workload._noise, slot, ("_value", "_last_time"))
+            _bind_fields(
+                workload._bursts,
+                slot,
+                ("_next_start", "_active_until", "_active_magnitude"),
+            )
+            if isinstance(workload, HadoopWorkload):
+                _bind_fields(
+                    workload, slot, ("_phase_is_compute", "_phase_end_s")
+                )
+            _bind_fields(
+                twin_dynamo.agents[sid],
+                ArraySlot(agent_arrays, i),
+                DynamoAgent.SOA_FIELDS,
+            )
+
+        assert _arrays_equal(stepper._arrays, arrays) == []
+        assert _arrays_equal(batch._arrays, agent_arrays) == []
+        # the fleet really was mixed, and no column sits at its default
+        a = stepper._arrays
+        assert a.turbo_enabled.sum() == 7 and a.hadoop_end.max() > 400.0
+        assert np.isfinite(a.rapl_limit).sum() == 1
+        assert (~a.online).sum() == 1 and a.power[~a.online] == 0.0
+        assert np.isfinite(a.ou_last).all() and a.ou_value.all()
+        assert np.isfinite(a.burst_next).sum() >= 10  # hadoop never bursts
+        assert (~batch.healthy).sum() == 1
+        assert batch._arrays.agent_reads_served.min() > 0
+        assert (~batch.sense_batchable).sum() == 6  # the Westmere rows
+        # and the objects read back what they held before binding
+        for sid, server in fleet.servers.items():
+            assert _server_state(server) == _server_state(twin.servers[sid])
+            assert server.rapl.limit_w == twin.servers[sid].rapl.limit_w
+            assert dynamo.agents[sid].healthy == twin_dynamo.agents[sid].healthy
+
+    def test_rebinding_carries_values_from_the_previous_arrays(self):
+        """Columns are read through the property, not from stale shadows."""
+        from repro.server.vectorized import VectorizedFleetStepper
+
+        _, vector = _capped_fleets(5, n=24)
+        first = VectorizedFleetStepper(vector)
+        first.step(1.0, 1.0)
+        first.step(2.0, 1.0)
+        before = {
+            sid: (_server_state(s), s.rapl.limit_w, s.turbo.enabled)
+            for sid, s in vector.servers.items()
+        }
+        second = VectorizedFleetStepper(vector)
+        assert _arrays_equal(first._arrays, second._arrays) == []
+        assert second._arrays is not first._arrays
+        for sid, s in vector.servers.items():
+            assert s._soa.arrays is second._arrays
+            assert (
+                _server_state(s), s.rapl.limit_w, s.turbo.enabled
+            ) == before[sid]
+
+
+class TestFirstStepStaysOnTheVectorLane:
+    def _sized(self, seed: int = 2):
+        from repro.state.worlds import build_sized_world
+
+        return build_sized_world(
+            servers=2016,
+            seed=seed,
+            physics_backend="vectorized",
+            control_backend="vectorized",
+        )
+
+    def test_first_arrivals_are_drawn_in_place(self):
+        """Every row's first burst arrival is undrawn at t=0; that used
+        to send the whole fleet through ``workload.utilization()``."""
+        world = self._sized()
+        stepper = world.driver.stepper
+        assert np.isnan(stepper._arrays.burst_next).all()
+        world.run_until(0.0)
+        assert stepper.step_count == 1
+        arrivals = stepper._arrays.burst_next.copy()
+        assert (arrivals > 0.0).all()
+        # an arrival due at once is the only reason left to fall back
+        assert stepper.fallback_server_steps == 0
+        world.run_until(30.0)
+        crossings = int((arrivals != stepper._arrays.burst_next).sum())
+        assert stepper.fallback_server_steps == crossings < 2016 // 10
+
+    def test_first_arrivals_match_the_scalar_draws(self):
+        vector = self._sized(seed=6)
+        vector.run_until(0.0)
+        from repro.state.worlds import build_sized_world
+
+        scalar = build_sized_world(servers=2016, seed=6, physics_backend="scalar")
+        scalar.run_until(0.0)
+        for sid, server in scalar.fleet.servers.items():
+            twin = vector.fleet.servers[sid]
+            assert server.workload._bursts._next_start == (
+                twin.workload._bursts._next_start
+            )
+            assert server.power_w() == twin.power_w()
+        vector.driver.sync_physics()
+        assert scalar.rng.snapshot_state() == vector.rng.snapshot_state()
+
+    @pytest.mark.parametrize("steps_before_capture", [0, 1])
+    def test_resume_from_the_first_instants_is_bit_exact(
+        self, steps_before_capture
+    ):
+        build = lambda: build_quickstart_world(  # noqa: E731
+            seed=8, physics_backend="vectorized", control_backend="vectorized"
+        )
+        world = build()
+        if steps_before_capture:
+            world.run_until(0.0)
+            assert world.driver.stepper.step_count == 1
+        registry = SnapshotRegistry()
+        resumed = registry.restore(registry.capture(world))
+        resumed.run_until(90.0)
+        uninterrupted = build()
+        uninterrupted.run_until(90.0)
+        assert world_fp(resumed) == world_fp(uninterrupted)
+
+
+class TestForeignBitGenerators:
+    """Only PCG64 streams can be prefetched; anything else steps (and is
+    sensed) on the scalar lane, with the same results."""
+
+    @staticmethod
+    def _fleet():
+        from repro.fleet import Fleet
+        from repro.server.platform import HASWELL_2015
+        from repro.server.server import Server
+        from repro.workloads.web import WebWorkload
+
+        fleet = Fleet()
+        for i in range(4):
+            make = np.random.MT19937 if i % 2 else np.random.PCG64
+            server = Server(
+                f"s{i}",
+                HASWELL_2015,
+                WebWorkload(np.random.Generator(make(10 + i))),
+                rng=np.random.Generator(make(20 + i)),
+            )
+            fleet.servers[server.server_id] = server
+        return fleet
+
+    def test_rows_stay_scalar_and_bit_identical(self):
+        from repro.core.agent import DynamoAgent
+        from repro.core.agent_batch import AgentBatch
+        from repro.rpc.transport import RpcTransport
+        from repro.server.vectorized import VectorizedFleetStepper
+
+        scalar, vector = self._fleet(), self._fleet()
+        stepper = VectorizedFleetStepper(vector)
+        assert stepper._always_fallback.tolist() == [False, True, False, True]
+        for t in range(1, 200):
+            stepper.step(float(t), 1.0)
+            for server in scalar.servers.values():
+                server.step(float(t), 1.0)
+        for sid, ref in scalar.servers.items():
+            assert _server_state(vector.servers[sid]) == _server_state(ref)
+        transport = RpcTransport(np.random.default_rng(0))
+        agents = {
+            sid: DynamoAgent(server, transport)
+            for sid, server in vector.servers.items()
+        }
+        batch = AgentBatch(agents, stepper)
+        assert batch.sense_batchable.tolist() == [True, False, True, False]
