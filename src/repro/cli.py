@@ -51,7 +51,6 @@ import time
 from repro.analysis.multidc import build_region
 from repro.config import (
     CONTROL_BACKENDS,
-    EXECUTION_BACKENDS,
     PHYSICS_BACKENDS,
 )
 from repro.analysis.scenarios import (
@@ -70,8 +69,6 @@ def _quickstart_deployment(
     duration_h: float,
     physics_backend: str = "scalar",
     control_backend: str = "scalar",
-    execution_backend: str = "single",
-    shards: int = 1,
 ):
     """Build, run, and return the quickstart deployment pieces."""
     from repro.state.worlds import build_quickstart_world
@@ -80,16 +77,7 @@ def _quickstart_deployment(
         seed=seed,
         physics_backend=physics_backend,
         control_backend=control_backend,
-        execution_backend=execution_backend,
-        shards=shards,
     )
-    if execution_backend == "sharded":
-        # Run across the shard workers, then materialize a plain world
-        # at the final state so the report reads fresh counters.
-        with world as sharded:
-            sharded.run_until(hours(duration_h))
-            local = sharded.to_local()
-        return local.dynamo, local.driver, local.topology
     world.run_until(hours(duration_h))
     return world.dynamo, world.driver, world.topology
 
@@ -100,8 +88,6 @@ def _run_quickstart(args: argparse.Namespace) -> int:
         args.duration_h,
         args.physics_backend,
         args.control_backend,
-        args.execution_backend,
-        args.shards,
     )
     print(
         f"ran {args.duration_h} h: power {to_kilowatts(topology.total_power_w()):.1f} KW, "
@@ -471,9 +457,9 @@ def _run_profile(args: argparse.Namespace) -> int:
     two halves of the per-step physics barrier — the fleet physics step
     (``FleetDriver.physics_wall_s``) and the breaker observation
     (``FleetDriver.breakers_wall_s``) — and the four control stages,
-    whose durations every :class:`TickTrace` already records;
-    everything else (event dispatch, RPC fabric, telemetry) lands in
-    ``other``.
+    summed over every tick of the run (``TraceBuffer.stage_wall_s``,
+    not just the ticks the trace ring still holds); everything else
+    (event dispatch, RPC fabric, telemetry) lands in ``other``.
     """
     import cProfile
     import io
@@ -485,9 +471,6 @@ def _run_profile(args: argparse.Namespace) -> int:
         build_sized_world,
     )
 
-    backend_kwargs = dict(
-        execution_backend=args.execution_backend, shards=args.shards
-    )
     setup: _SetupTable | None = None
     if args.scenario == "quickstart":
         if args.servers is not None:
@@ -498,14 +481,12 @@ def _run_profile(args: argparse.Namespace) -> int:
                 physics_backend=args.physics_backend,
                 control_backend=args.control_backend,
                 on_phase=setup.phase_done,
-                **backend_kwargs,
             )
         else:
             world = build_quickstart_world(
                 seed=args.seed,
                 physics_backend=args.physics_backend,
                 control_backend=args.control_backend,
-                **backend_kwargs,
             )
         end_s = hours(args.duration_h)
     else:
@@ -517,14 +498,8 @@ def _run_profile(args: argparse.Namespace) -> int:
             seed=args.seed,
             physics_backend=args.physics_backend,
             control_backend=args.control_backend,
-            **backend_kwargs,
         )
         end_s = world.extras["end_s"]
-    if args.execution_backend == "sharded":
-        if setup is not None:
-            print(setup.render(args.servers))
-            print()
-        return _profile_sharded(world, args, end_s)
     t0 = time.perf_counter()
     if setup is not None:
         leaf_period_s = world.dynamo.config.controller.leaf_pull_interval_s
@@ -542,14 +517,10 @@ def _run_profile(args: argparse.Namespace) -> int:
         f"to t={world.now_s:.1f}s: wall {wall_s:.3f} s"
     )
     print()
-    traces = world.dynamo.traces.latest()
     phases = [
         ("physics", world.driver.physics_wall_s),
         ("breakers", world.driver.breakers_wall_s),
-        ("sense", sum(t.sense_duration_s for t in traces)),
-        ("aggregate", sum(t.aggregate_duration_s for t in traces)),
-        ("decide", sum(t.decide_duration_s for t in traces)),
-        ("actuate", sum(t.actuate_duration_s for t in traces)),
+        *world.dynamo.traces.stage_wall_s.items(),
     ]
     phases.append(("other", max(wall_s - sum(w for _, w in phases), 0.0)))
     print(f"{'phase':<10} {'wall_s':>8} {'share':>7}")
@@ -563,57 +534,6 @@ def _run_profile(args: argparse.Namespace) -> int:
     stats.sort_stats("cumulative").print_stats(args.top)
     print(f"top {args.top} functions by cumulative time:")
     print(stream.getvalue().rstrip())
-    return 0
-
-
-def _profile_sharded(world, args: argparse.Namespace, end_s: float) -> int:
-    """Per-shard wall-time breakdown for the sharded backend.
-
-    cProfile is skipped here: the interesting time is spent in forked
-    worker processes it cannot see.  Instead the parent's phase
-    accounting (shard step, aggregate exchange, coordinator decide) and
-    each worker's compute-vs-waiting split are reported directly.
-    """
-
-    t0 = time.perf_counter()
-    with world as sharded:
-        sharded.run_until(end_s)
-        wall_s = time.perf_counter() - t0
-        stats = sharded.worker_stats()
-        phase_wall = dict(sharded.wall)
-        # The parent observes every breaker itself (thermal state is
-        # replicated, not exchanged), inside its share of the step.
-        breakers_s = sharded.world.driver.breakers_wall_s
-        now_s = sharded.now_s
-    print(
-        f"profiled {args.scenario!r} (sharded x{args.shards}) "
-        f"to t={now_s:.1f}s: wall {wall_s:.3f} s"
-    )
-    print()
-    phases = [
-        ("shard step", phase_wall["shard_step_s"] - breakers_s),
-        ("breakers", breakers_s),
-        ("aggregate exchange", phase_wall["exchange_s"]),
-        ("coordinator decide", phase_wall["coordinator_s"]),
-    ]
-    phases.append(
-        ("other", max(wall_s - sum(w for _, w in phases), 0.0))
-    )
-    print(f"{'phase':<20} {'wall_s':>8} {'share':>7}")
-    for name, phase_s in phases:
-        share = 100.0 * phase_s / wall_s if wall_s > 0 else 0.0
-        print(f"{name:<20} {phase_s:>8.3f} {share:>6.1f}%")
-    print()
-    print(f"{'shard':>5} {'step_s':>8} {'waiting_s':>9} {'busy':>6}")
-    for entry in stats:
-        step_s = entry["step_wall_s"]
-        wait_s = entry["wait_wall_s"]
-        total = step_s + wait_s
-        busy = 100.0 * step_s / total if total > 0 else 0.0
-        print(
-            f"{entry['shard']:>5} {step_s:>8.3f} {wait_s:>9.3f} "
-            f"{busy:>5.1f}%"
-        )
     return 0
 
 
@@ -931,20 +851,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="quickstart scenario only: control-plane dispatch "
         "(vectorized requires --physics-backend vectorized)",
     )
-    run.add_argument(
-        "--execution-backend",
-        default="single",
-        choices=EXECUTION_BACKENDS,
-        help="quickstart scenario only: in-process or sharded "
-        "multi-process execution (sharded requires both vectorized "
-        "backends)",
-    )
-    run.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="worker processes for --execution-backend sharded",
-    )
     chaos = sub.add_parser("chaos", help="fault-injection scenarios")
     chaos_sub = chaos.add_subparsers(dest="chaos_command", required=True)
     chaos_sub.add_parser("list", help="list chaos scenarios")
@@ -1100,19 +1006,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="quickstart scenario only: profile a parametric-size "
         "world with N servers instead of the 36-server quickstart",
-    )
-    profile.add_argument(
-        "--execution-backend",
-        default="single",
-        choices=EXECUTION_BACKENDS,
-        help="in-process or sharded multi-process execution; sharded "
-        "prints a per-shard wall-time breakdown instead of cProfile",
-    )
-    profile.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="worker processes for --execution-backend sharded",
     )
     profile.add_argument(
         "--top",

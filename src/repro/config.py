@@ -385,49 +385,19 @@ PHYSICS_BACKENDS = ("scalar", "vectorized")
 #: Control-plane backends (agent sensing and RAPL actuation).
 CONTROL_BACKENDS = ("scalar", "vectorized")
 
-#: Execution backends: one process, or a sharded worker-process fleet.
-EXECUTION_BACKENDS = ("single", "sharded")
-
 
 @dataclass(frozen=True)
 class FleetConfig:
-    """Fleet physics stepping and control-plane dispatch behaviour.
+    """Fleet-wide knobs the deployment reads while it builds.
 
-    ``physics_backend`` selects how the driver advances server state
-    each tick: ``"scalar"`` steps each :class:`~repro.server.server.Server`
-    object in Python (the reference implementation), ``"vectorized"``
-    packs per-server state into structure-of-arrays and advances the
-    whole fleet with numpy ops.  The two backends are bit-identical by
-    contract (enforced by the parity tests); vectorized is faster from a
-    few hundred servers up.  ``prefetch_draws`` is the per-server block
-    size of pre-drawn workload-noise normals in the vectorized backend;
-    it trades refill frequency against rewind cost on foreign draws and
-    has no effect on results.
-
-    ``control_backend`` does the same for the control plane:
-    ``"vectorized"`` packs per-agent state into an
-    :class:`~repro.core.agent_batch.AgentBatch` and dispatches the leaf
-    controllers' ``read_power``/``set_cap`` fan-outs as batched array
-    operations, with per-endpoint scalar fallback preserving chaos and
-    resilience semantics draw-for-draw.  It requires the vectorized
-    physics backend (batched reads load straight from the stepper's
-    power array).
-
-    ``execution_backend`` selects the process topology: ``"single"``
-    runs everything in one process; ``"sharded"`` partitions the fleet
-    across ``shards`` persistent worker processes, each stepping and
-    leaf-controlling its own slice (see :mod:`repro.sharding`), with
-    compact per-shard aggregates flowing to the upper controllers in
-    the parent.  Sharded execution requires both vectorized backends
-    and is bit-identical to single-process by contract.
+    ``prefetch_draws`` is the per-server block size of pre-drawn
+    sensor-noise normals in the batched control plane
+    (:class:`~repro.core.agent_batch.AgentBatch`); it trades refill
+    frequency against rewind cost on foreign draws and has no effect on
+    results.
     """
 
-    physics_backend: str = "scalar"
     prefetch_draws: int = 64
-    control_backend: str = "scalar"
-    execution_backend: str = "single"
-    #: Worker-process count for ``execution_backend="sharded"``.
-    shards: int = 1
     #: Whether leaf controllers can read device/breaker-side metering
     #: (``PowerDevice.power_w``).  The disaggregation estimator needs it
     #: for the aggregate residual; with metering unavailable an enabled
@@ -436,45 +406,8 @@ class FleetConfig:
     device_metering: bool = True
 
     def __post_init__(self) -> None:
-        if self.physics_backend not in PHYSICS_BACKENDS:
-            known = ", ".join(PHYSICS_BACKENDS)
-            raise ConfigurationError(
-                f"unknown physics backend {self.physics_backend!r}; "
-                f"known: {known}"
-            )
         if self.prefetch_draws < 1:
             raise ConfigurationError("prefetch block must hold >= 1 draw")
-        if self.control_backend not in CONTROL_BACKENDS:
-            known = ", ".join(CONTROL_BACKENDS)
-            raise ConfigurationError(
-                f"unknown control backend {self.control_backend!r}; "
-                f"known: {known}"
-            )
-        if (
-            self.control_backend == "vectorized"
-            and self.physics_backend != "vectorized"
-        ):
-            raise ConfigurationError(
-                "vectorized control requires the vectorized physics "
-                "backend (batched sensing reads the stepper's buffers)"
-            )
-        if self.execution_backend not in EXECUTION_BACKENDS:
-            known = ", ".join(EXECUTION_BACKENDS)
-            raise ConfigurationError(
-                f"unknown execution backend {self.execution_backend!r}; "
-                f"known: {known}"
-            )
-        if self.shards < 1:
-            raise ConfigurationError("shard count must be >= 1")
-        if self.execution_backend == "sharded" and (
-            self.physics_backend != "vectorized"
-            or self.control_backend != "vectorized"
-        ):
-            raise ConfigurationError(
-                "sharded execution requires physics_backend='vectorized' "
-                "and control_backend='vectorized' (workers step and sense "
-                "their shard through the packed arrays)"
-            )
 
 
 @dataclass(frozen=True)

@@ -49,28 +49,9 @@ class ControllerCoordinator:
         self.hierarchy = hierarchy
         self._controllers: dict[str, PowerController] = {}
         self._processes: list[PeriodicProcess] = []
-        #: Sharded execution (``repro.sharding``): controller names whose
-        #: scheduled ticks are dispatched as no-ops.  The events still
-        #: execute — engine clock/sequence bookkeeping stays identical
-        #: across processes — but the tick body is owned by another
-        #: process.  Keyed by *name*, not instance, so chaos failover
-        #: swaps (:meth:`replace_controller`) stay masked.
-        self.masked_ticks: set[str] | None = None
-        #: Sharded execution: names whose ticks are *collected* instead
-        #: of run inline.  The dispatch appends ``(name, now_s)`` to
-        #: :attr:`collect_sink`; the shard worker then runs the
-        #: collected ticks itself once it holds the RPC token.
-        self.collect_names: frozenset[str] = frozenset()
-        self.collect_sink: list[tuple[str, float]] | None = None
 
         def dispatch(name: str):
             def run(now_s: float) -> None:
-                masked = self.masked_ticks
-                if masked is not None and name in masked:
-                    return
-                if self.collect_sink is not None and name in self.collect_names:
-                    self.collect_sink.append((name, now_s))
-                    return
                 self._controllers[name].tick(now_s)
 
             return run
@@ -111,15 +92,6 @@ class ControllerCoordinator:
         if name not in self._controllers:
             raise ConfigurationError(f"no scheduled controller named {name!r}")
         self._controllers[name] = controller
-
-    def scheduled_controller(self, name: str) -> PowerController:
-        """The instance currently ticked under ``name``."""
-        try:
-            return self._controllers[name]
-        except KeyError:
-            raise ConfigurationError(
-                f"no scheduled controller named {name!r}"
-            ) from None
 
     def start(self) -> None:
         """Start every controller's periodic process.

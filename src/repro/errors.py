@@ -118,7 +118,3 @@ class SnapshotVersionError(SnapshotError):
         )
         self.found = found
         self.supported = supported
-
-
-class ShardingError(ReproError):
-    """The sharded execution backend hit a protocol or worker failure."""

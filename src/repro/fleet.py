@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.config import PHYSICS_BACKENDS, AgentConfig
 from repro.core.coordinator import PRIORITY_FLEET_STEP
@@ -238,12 +237,6 @@ class FleetDriver:
         self.physics_wall_s = 0.0
         self.breakers_wall_s = 0.0
         self._backend = physics_backend
-        #: Sharded execution: called between the physics step and the
-        #: breaker observation.  The hook exchanges each shard's freshly
-        #: stepped power rows through shared memory so every process
-        #: observes the full fleet's power — breaker thermal state stays
-        #: bitwise replicated across parent and workers.
-        self.shard_sync: Callable[[], None] | None = None
         self._stepper: VectorizedFleetStepper | None = None
         if physics_backend == "vectorized":
             self._stepper = VectorizedFleetStepper(
@@ -293,10 +286,8 @@ class FleetDriver:
         else:
             for server in self._fleet.servers.values():
                 server.step(now_s, self._dt)
-        self.physics_wall_s += time.perf_counter() - t0
-        if self.shard_sync is not None:
-            self.shard_sync()
-        t0 = time.perf_counter()
+        t1 = time.perf_counter()
+        self.physics_wall_s += t1 - t0
         for device in self._topology.observe_breakers(self._dt, now_s):
             self.trips.append(
                 BreakerTrip(
@@ -305,7 +296,7 @@ class FleetDriver:
                     level=device.level.value,
                 )
             )
-        self.breakers_wall_s += time.perf_counter() - t0
+        self.breakers_wall_s += time.perf_counter() - t1
 
     @property
     def tripped(self) -> bool:

@@ -293,45 +293,6 @@ class RpcTransport:
         self.group_full_fallbacks = 0
         #: Group dispatches executed (one sense or cap round per leaf).
         self.group_rounds = 0
-        #: Sharded execution: when not None, group latency draws are
-        #: *deferred* — each fast-lane segment records only its draw
-        #: count here and returns zero latencies.  A shard worker runs
-        #: its pure leaf ticks this way before the RPC token arrives,
-        #: then replays the recorded segments against the token's RNG
-        #: (see :meth:`replay_deferred_draws`).
-        self._deferred_segments: list[int] | None = None
-
-    # ------------------------------------------------------------------
-    # Deferred latency draws (sharded execution)
-    # ------------------------------------------------------------------
-
-    def begin_deferred_draws(self) -> None:
-        """Start recording group latency draws instead of performing them."""
-        self._deferred_segments = []
-
-    def end_deferred_draws(self) -> list[int]:
-        """Stop recording; returns the per-segment draw counts."""
-        segments = self._deferred_segments
-        self._deferred_segments = None
-        return segments if segments is not None else []
-
-    def replay_deferred_draws(self, segments: list[int]) -> float:
-        """Re-run recorded segments against the (token-loaded) live RNG.
-
-        Each fast-lane segment draws its latencies through the same
-        ``exponential(mean, size=count)`` call and left-to-right
-        accounting the inline path uses, so RNG state and latency
-        counters land bitwise where the single-process run puts them.
-        Returns the worst latency drawn (the caller verifies it stayed
-        under the call deadline — the deferred tick assumed no
-        deadline demotion happened).
-        """
-        worst = 0.0
-        for count in segments:
-            latencies = self._draw_group_latencies(count)
-            if count:
-                worst = max(worst, float(latencies.max()))
-        return worst
 
     def attach_batch(self, batch: Any) -> None:
         """Attach the agent batch enabling the group fast path."""
@@ -485,12 +446,6 @@ class RpcTransport:
 
     def _draw_group_latencies(self, count: int) -> np.ndarray:
         """`count` per-call latency draws with scalar-identical accounting."""
-        if self._deferred_segments is not None:
-            # Sharded pure path: record the segment, draw nothing.  The
-            # counters and RNG are settled at replay time against the
-            # relayed token state.
-            self._deferred_segments.append(count)
-            return np.zeros(count)
         self.calls_made += count
         latencies = self._rng.exponential(self._mean_latency_s, size=count)
         # Left-to-right accumulation (cumsum seeded with the running

@@ -21,8 +21,8 @@ implementation in ways worth spelling out:
   ``sum()`` (compensated from Python 3.12).
 * Per-row updates are masked ufuncs (``out=``, ``where=online``) over
   the whole arrays, not gather/scatter through an index of the online
-  rows: one code path whether every row is online, some are offline,
-  or a shard owns a subset — and rows outside the mask are untouched.
+  rows: one code path whether every row is online or some are
+  offline — and rows outside the mask are untouched.
 * RNG draw order is preserved per stream.  Each server's workload
   normals are prefetched in blocks
   (:class:`~repro.simulation.rng.PrefetchedNormals`); any *other* draw
@@ -212,21 +212,6 @@ class VectorizedFleetStepper:
         self._hadoop_idx = np.nonzero(self._hadoop_mask)[0]
         self._burst_pos = self._burst_rate > 0.0
 
-        # Sharded execution: pristine lane state, so an ownership mask
-        # can be applied (and lifted) without rebuilding the stepper.
-        self._owned: np.ndarray | None = None
-        self._full_lane_state = (
-            self._always_fallback,
-            self._ou_mask,
-            self._hadoop_mask,
-            self._burst_pos,
-            self._diurnal_groups,
-            self._const_groups,
-            self._exp_groups,
-            self._ou_groups,
-            self._rapl_groups,
-        )
-
         # Scratch buffers reused every tick.
         self._scratch_u = np.zeros(n)
         self._scratch_dyn = np.zeros(n)
@@ -301,58 +286,6 @@ class VectorizedFleetStepper:
             return False
         return kind is FlatWorkload
 
-    def set_owned_mask(self, owned: Any) -> None:
-        """Restrict stepping to the ``owned`` rows (sharded execution).
-
-        A shard worker owns a subset of servers: the lane masks and
-        group index arrays are rebuilt restricted to that subset, so
-        per-tick work is proportional to the shard and the streams of
-        non-owned servers are never touched.  Non-owned rows keep
-        whatever state the shared power exchange writes into the
-        arrays.  Pass ``None`` to restore full ownership.  An all-False
-        mask is valid: the parent process of a sharded world steps
-        nothing but still advances ``step_count`` in lock-step.
-        """
-        (af, ou_m, hd_m, bp, diur, const, exps, oug, rapl) = self._full_lane_state
-        if owned is None:
-            self._owned = None
-            self._always_fallback = af
-            self._ou_mask = ou_m
-            self._hadoop_mask = hd_m
-            self._burst_pos = bp
-            self._diurnal_groups = diur
-            self._const_groups = const
-            self._exp_groups = exps
-            self._ou_groups = oug
-            self._rapl_groups = rapl
-            self._hadoop_idx = np.nonzero(hd_m)[0]
-            return
-        mask = np.array(owned, dtype=bool)
-        if mask.shape != (self._n,):
-            raise ValueError(
-                f"owned mask has shape {mask.shape}, fleet has {self._n} rows"
-            )
-
-        def _filter(groups: list) -> list:
-            out = []
-            for key, idx in groups:
-                sel = idx[mask[idx]]
-                if sel.size:
-                    out.append((key, sel))
-            return out
-
-        self._owned = mask
-        self._always_fallback = af & mask
-        self._ou_mask = ou_m & mask
-        self._hadoop_mask = hd_m & mask
-        self._burst_pos = bp & mask
-        self._diurnal_groups = _filter(diur)
-        self._const_groups = _filter(const)
-        self._exp_groups = _filter(exps)
-        self._ou_groups = _filter(oug)
-        self._rapl_groups = _filter(rapl)
-        self._hadoop_idx = np.nonzero(self._hadoop_mask)[0]
-
     def _on_modifiers(self, workload: StochasticWorkload) -> None:
         i = workload._noise._soa.index
         if workload._modifiers:
@@ -402,8 +335,7 @@ class VectorizedFleetStepper:
         if n == 0:
             return
         a = self._arrays
-        owned = self._owned
-        online = a.online if owned is None else a.online & owned
+        online = a.online
         u = self._scratch_u
 
         # Lane selection: servers whose stream would see a variable
@@ -496,23 +428,13 @@ class VectorizedFleetStepper:
         for i in np.nonzero(fallback)[0]:
             u[i] = min(1.0, max(0.0, self._workloads[i].utilization(now_s)))
 
-        # Only rows this process owns are zeroed when offline; under an
-        # ownership mask, plain ``~online`` would also cover every
-        # non-owned row and wipe state the exchange just delivered.
-        off_sel = ~a.online if owned is None else owned & ~a.online
-        off_idx = np.nonzero(off_sel)[0]
+        off_idx = np.nonzero(~online)[0]
         if off_idx.size:
             u[off_idx] = 0.0
 
         # Power model: python ** per element (numpy's pow differs by
         # 1 ulp on a few percent of inputs), group-batched by exponent.
         dyn = self._scratch_dyn
-        if owned is not None:
-            # Non-owned rows are absent from the (filtered) exponent
-            # groups and never rewritten; left alone, the whole-array
-            # multiply below would compound their stale scratch values
-            # every step until they overflow.
-            dyn[~owned] = 0.0
         for exp_e, gidx in self._exp_groups:
             dyn[gidx] = [v**exp_e for v in u[gidx].tolist()]
         dyn *= self._dyn_range

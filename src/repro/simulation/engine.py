@@ -102,20 +102,6 @@ class SimulationEngine:
             return None
         return self._queue[0].time
 
-    def peek_next(self) -> tuple[float, int] | None:
-        """(time, priority) of the next pending event, or None if empty.
-
-        The sharded executor uses this between intra-instant phases to
-        decide — identically in every process, since event queues are
-        replicated — whether the current instant still holds leaf-band
-        events that need the RPC-token exchange.
-        """
-        self._discard_cancelled()
-        if not self._queue:
-            return None
-        head = self._queue[0]
-        return head.time, head.priority
-
     def step(self) -> bool:
         """Execute the single next event.  Returns False if none remain.
 
@@ -150,41 +136,6 @@ class SimulationEngine:
             self.clock.advance_to(end_time)
         finally:
             self._running = False
-
-    def run_at_instant(self, time: float, below_priority: int) -> int:
-        """Run events at exactly ``time`` with priority < ``below_priority``.
-
-        Sharded execution (``repro.sharding``) splits one simulated
-        instant into phases run lock-step across processes: physics and
-        chaos first, then leaf controller ticks, then upper controllers.
-        This is the phase primitive — it executes the head event while
-        it sits at ``time`` with a priority below the cut, and leaves
-        everything else (including later-priority events at the same
-        instant) queued.  The clock is *not* advanced past the executed
-        events; finish the instant with :meth:`run_until`.
-
-        Returns the number of events executed.
-        """
-        self._guard_entry("run_at_instant")
-        if time < self.clock.now:
-            raise SimulationError(
-                f"instant {time:.6f} is before now {self.clock.now:.6f}"
-            )
-        self._running = True
-        executed = 0
-        try:
-            while True:
-                self._discard_cancelled()
-                if not self._queue:
-                    break
-                head = self._queue[0]
-                if head.time > time or head.priority >= below_priority:
-                    break
-                self._execute_head()
-                executed += 1
-        finally:
-            self._running = False
-        return executed
 
     def run_all(self, max_events: int = 1_000_000) -> None:
         """Drain the event queue completely.

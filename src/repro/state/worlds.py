@@ -28,9 +28,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from repro.chaos.orchestrator import ChaosOrchestrator
-from repro.config import EXECUTION_BACKENDS
 from repro.core.dynamo import Dynamo
-from repro.errors import ConfigurationError, SnapshotError
+from repro.errors import SnapshotError
 from repro.fleet import Fleet, FleetDriver
 from repro.power.topology import PowerTopology
 from repro.simulation.engine import SimulationEngine
@@ -38,7 +37,6 @@ from repro.simulation.rng import RngStreams
 
 if TYPE_CHECKING:
     from repro.economics.governor import EconomicGovernor
-    from repro.sharding import ShardedWorld
 
 
 @dataclass
@@ -66,45 +64,11 @@ class World:
         return self.engine.clock.now
 
 
-def shard_world(world: World, shards: int) -> "ShardedWorld":
-    """Wrap a built world in the sharded multi-process backend."""
-    from repro.sharding import ShardedWorld
-
-    return ShardedWorld(world, shards)
-
-
-def _apply_execution_backend(
-    world: World, execution_backend: str, shards: int
-) -> "World | ShardedWorld":
-    """Dispatch a freshly built world onto its execution backend.
-
-    Execution choices are *not* recorded in the recipe: a snapshot of a
-    sharded run restores to the same state regardless of backend, and
-    can be re-wrapped at any shard count
-    (:meth:`~repro.sharding.ShardedWorld.from_snapshot`).
-    """
-    if execution_backend not in EXECUTION_BACKENDS:
-        known = ", ".join(EXECUTION_BACKENDS)
-        raise ConfigurationError(
-            f"unknown execution backend {execution_backend!r}; "
-            f"known: {known}"
-        )
-    if execution_backend == "single":
-        if shards != 1:
-            raise ConfigurationError(
-                "shards > 1 requires execution_backend='sharded'"
-            )
-        return world
-    return shard_world(world, shards)
-
-
 def build_quickstart_world(
     seed: int = 0,
     physics_backend: str = "scalar",
     control_backend: str = "scalar",
-    execution_backend: str = "single",
-    shards: int = 1,
-) -> "World | ShardedWorld":
+) -> World:
     """The CLI quickstart deployment, armed at t=0."""
     from repro.fleet import ServiceAllocation, populate_fleet
     from repro.power.builder import DataCenterSpec, build_datacenter
@@ -131,7 +95,7 @@ def build_quickstart_world(
         dynamo.enable_vectorized_control(driver)
     driver.start()
     dynamo.start()
-    world = World(
+    return World(
         recipe={
             "builder": "quickstart",
             "kwargs": {
@@ -147,7 +111,6 @@ def build_quickstart_world(
         driver=driver,
         rng=rng,
     )
-    return _apply_execution_backend(world, execution_backend, shards)
 
 
 def build_sized_world(
@@ -155,10 +118,8 @@ def build_sized_world(
     seed: int = 0,
     physics_backend: str = "vectorized",
     control_backend: str = "scalar",
-    execution_backend: str = "single",
-    shards: int = 1,
     on_phase: Callable[[str], None] | None = None,
-) -> "World | ShardedWorld":
+) -> World:
     """A parametric-size deployment for profiling and benchmarks.
 
     Lays ``servers`` machines (2:1 web:cache) across a topology that
@@ -209,7 +170,7 @@ def build_sized_world(
         done("agent-batch bind")
     driver.start()
     dynamo.start()
-    world = World(
+    return World(
         recipe={
             "builder": "sized",
             "kwargs": {
@@ -226,7 +187,6 @@ def build_sized_world(
         driver=driver,
         rng=rng,
     )
-    return _apply_execution_backend(world, execution_backend, shards)
 
 
 def build_chaos_world(
@@ -234,9 +194,7 @@ def build_chaos_world(
     seed: int = 7,
     physics_backend: str = "scalar",
     control_backend: str = "scalar",
-    execution_backend: str = "single",
-    shards: int = 1,
-) -> "World | ShardedWorld":
+) -> World:
     """A named chaos scenario, armed and started at t=0.
 
     The underlying :class:`~repro.chaos.scenarios.ChaosRun` rides in
@@ -258,7 +216,7 @@ def build_chaos_world(
         control_backend=control_backend,
     )
     run.start()
-    world = World(
+    return World(
         recipe={
             "builder": "chaos",
             "kwargs": {
@@ -278,7 +236,6 @@ def build_chaos_world(
         governor=run.extras.get("governor"),
         extras={"chaos_run": run, "end_s": run.end_s},
     )
-    return _apply_execution_backend(world, execution_backend, shards)
 
 
 def build_econ_world(
@@ -304,7 +261,7 @@ def build_econ_world(
     )
 
 
-WORLD_BUILDERS: dict[str, Callable[..., "World | ShardedWorld"]] = {
+WORLD_BUILDERS: dict[str, Callable[..., World]] = {
     "quickstart": build_quickstart_world,
     "sized": build_sized_world,
     "chaos": build_chaos_world,
@@ -322,8 +279,4 @@ def build_world(recipe: dict) -> World:
             f"unknown world builder {recipe.get('builder')!r}; "
             f"known: {known}"
         ) from None
-    world = builder(**recipe.get("kwargs", {}))
-    # Recipes are execution-neutral: they never carry backend kwargs,
-    # so a rebuild always yields a plain single-process world.
-    assert isinstance(world, World)
-    return world
+    return builder(**recipe.get("kwargs", {}))

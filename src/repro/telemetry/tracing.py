@@ -257,6 +257,16 @@ class TraceBuffer:
             raise ConfigurationError("trace buffer capacity must be positive")
         self._traces: deque[TickTrace] = deque(maxlen=capacity)
         self._recorded = 0
+        #: Wall-clock seconds per control stage summed over every tick
+        #: ever recorded — the ring keeps only the tail, and ``repro
+        #: profile`` accounts for the whole run.  Host timing, so not
+        #: snapshot state (:meth:`snapshot_state` zeroes durations too).
+        self.stage_wall_s = {
+            "sense": 0.0,
+            "aggregate": 0.0,
+            "decide": 0.0,
+            "actuate": 0.0,
+        }
 
     @property
     def capacity(self) -> int:
@@ -274,6 +284,11 @@ class TraceBuffer:
         """Append one tick trace (oldest falls off at capacity)."""
         self._traces.append(trace)
         self._recorded += 1
+        totals = self.stage_wall_s
+        totals["sense"] += trace.sense_duration_s
+        totals["aggregate"] += trace.aggregate_duration_s
+        totals["decide"] += trace.decide_duration_s
+        totals["actuate"] += trace.actuate_duration_s
 
     def latest(
         self, n: int | None = None, *, controller: str | None = None

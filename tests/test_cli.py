@@ -31,6 +31,22 @@ class TestParser:
         assert args2.servers == 40
         assert args2.duration_h == 0.5
 
+    def test_one_process_one_execution_path(self, capsys):
+        """There is no second execution path to select, anywhere."""
+        import dataclasses
+
+        from repro.config import FleetConfig
+
+        for flag in (["--execution-backend", "sharded"], ["--shards", "2"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["run", "quickstart", *flag])
+            assert exit_info.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+        assert [f.name for f in dataclasses.fields(FleetConfig)] == [
+            "prefetch_draws",
+            "device_metering",
+        ]
+
 
 class TestExecution:
     def test_quickstart_runs_clean(self, capsys):
@@ -177,6 +193,49 @@ class TestProfileCommand:
     def test_named_scenarios_print_no_setup_table(self, capsys):
         assert main(["profile", "quickstart", "--duration-h", "0.005"]) == 0
         assert "set-up (" not in capsys.readouterr().out
+
+    def test_tick_table_covers_ticks_the_trace_ring_dropped(
+        self, capsys, monkeypatch
+    ):
+        """Stage rows sum every recorded tick, not the ring's tail."""
+        import dataclasses
+
+        from repro.core import dynamo
+        from repro.telemetry.tracing import TraceBuffer
+
+        rings = []
+
+        class SmallRing(TraceBuffer):
+            def __init__(self):
+                super().__init__(capacity=8)
+                rings.append(self)
+
+            def record(self, trace):
+                # powers of two: the totals are exact whatever the order
+                super().record(
+                    dataclasses.replace(
+                        trace,
+                        sense_duration_s=1.0,
+                        aggregate_duration_s=0.5,
+                        decide_duration_s=0.25,
+                        actuate_duration_s=0.125,
+                    )
+                )
+
+        monkeypatch.setattr(dynamo, "TraceBuffer", SmallRing)
+        args = ["profile", "quickstart", "--duration-h", "0.01", "--top", "1"]
+        assert main(args) == 0
+        (ring,) = rings
+        assert ring.recorded > ring.capacity == len(ring)
+        table = dict(
+            line.split()[:2]
+            for line in capsys.readouterr().out.splitlines()
+            if len(line.split()) == 3 and line.endswith("%")
+        )
+        assert float(table["sense"]) == ring.recorded
+        assert float(table["aggregate"]) == ring.recorded * 0.5
+        assert float(table["decide"]) == ring.recorded * 0.25
+        assert float(table["actuate"]) == ring.recorded * 0.125
 
 
 class TestHealthCommand:

@@ -254,86 +254,6 @@ def test_blackout_parity_across_control_backends():
     )
 
 
-def _backend_fingerprints(build, end_s: float, shards: int = 2):
-    """State fingerprints of the same world run single vs sharded."""
-    from repro.state import SnapshotRegistry, fingerprint
-
-    single = build()
-    single.run_until(end_s)
-    fp_single = fingerprint(SnapshotRegistry().capture(single).state)
-    with build(execution_backend="sharded", shards=shards) as sharded:
-        sharded.run_until(end_s)
-        fp_sharded = fingerprint(sharded.capture().state)
-    return fp_single, fp_sharded
-
-
-def test_sharded_plain_fleet_matches_single():
-    """K worker processes reproduce the in-process run bit-for-bit."""
-    from repro.state import build_quickstart_world
-
-    def build(**kwargs):
-        return build_quickstart_world(
-            seed=0,
-            physics_backend="vectorized",
-            control_backend="vectorized",
-            **kwargs,
-        )
-
-    fp_single, fp_sharded = _backend_fingerprints(build, end_s=600.0)
-    assert fp_single == fp_sharded, (
-        "sharded execution diverged from single-process on a plain fleet"
-    )
-
-
-def test_sharded_mid_capping_matches_single():
-    """Parity holds mid-capping: an SB outage squeezing the leaves.
-
-    The sb-outage campaign derates an SB at 300 s; at 600 s the upper
-    controllers are actively punishing offenders and the leaves hold
-    real caps, so the fingerprint covers the parent-side decide path
-    feeding worker-side actuation through the contractual-limit relay.
-    """
-    from repro.state import build_chaos_world
-
-    def build(**kwargs):
-        return build_chaos_world(
-            "sb-outage",
-            physics_backend="vectorized",
-            control_backend="vectorized",
-            **kwargs,
-        )
-
-    fp_single, fp_sharded = _backend_fingerprints(build, end_s=600.0)
-    assert fp_single == fp_sharded, (
-        "sharded execution diverged from single-process mid-capping"
-    )
-
-
-def test_sharded_active_fault_matches_single():
-    """Parity holds under an active chaos fault (50% sensor blackout).
-
-    At 600 s the blackout (420 s–1020 s) is live: frozen readings are
-    drawn through worker-owned sensor streams, stale-cache serving and
-    estimation are engaged, and the replicated fault state diverges
-    per-process in exactly the slices the capture merge re-owns.
-    """
-    from repro.state import build_chaos_world
-
-    def build(**kwargs):
-        return build_chaos_world(
-            "sensor-blackout-50",
-            physics_backend="vectorized",
-            control_backend="vectorized",
-            **kwargs,
-        )
-
-    fp_single, fp_sharded = _backend_fingerprints(build, end_s=600.0)
-    assert fp_single == fp_sharded, (
-        "sharded execution diverged from single-process under an "
-        "active sensor fault"
-    )
-
-
 if __name__ == "__main__":
     import sys
 

@@ -87,8 +87,14 @@ class TestTransport:
                     sid = c.create_session(
                         scenario="quickstart", seed=index
                     )["id"]
-                    c.step(sid, dt_s=30.0)
+                    # every session its own distance: a clock that lands
+                    # anywhere else had another session's step leak in
+                    own_s = 30.0 * (index + 1)
+                    c.step(sid, dt_s=own_s)
                     assert c.tree(sid, depth=0)["total_power_w"] > 0
+                    assert c.session(sid)["time_s"] == pytest.approx(own_s)
+                    traces = list(c.stream(sid, kind="traces", limit=10))
+                    assert len(traces) == 10
                     c.delete_session(sid)
             except Exception as exc:  # surfaced below with context
                 errors.append(exc)

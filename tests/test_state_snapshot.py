@@ -287,79 +287,3 @@ class TestCaptureGuards:
             if isinstance(c, FailoverController)
         ]
         assert pairs
-
-
-class TestShardedSnapshots:
-    """Snapshot semantics of the sharded execution backend.
-
-    A sharded capture must be bitwise a single-process capture, restore
-    on either backend, and resume bit-exactly on both.
-    """
-
-    @staticmethod
-    def _build(**kwargs):
-        return build_quickstart_world(
-            seed=0,
-            physics_backend="vectorized",
-            control_backend="vectorized",
-            **kwargs,
-        )
-
-    def test_sharded_save_restore_resume_bit_exact(self):
-        from repro.sharding import ShardedWorld
-
-        golden = self._build()
-        golden.run_until(240.0)
-        golden_fp = world_fingerprint(golden)
-
-        with self._build(execution_backend="sharded", shards=2) as sharded:
-            sharded.run_until(120.0)
-            snapshot = sharded.capture()
-
-        # Resume the sharded checkpoint single-process...
-        single = SnapshotRegistry().restore(snapshot)
-        single.run_until(240.0)
-        assert world_fingerprint(single) == golden_fp
-
-        # ...and sharded again: restore, re-partition, re-fork, resume.
-        with ShardedWorld.from_snapshot(snapshot, 2) as resumed:
-            assert resumed.now_s == pytest.approx(120.0)
-            resumed.run_until(240.0)
-            assert fingerprint(resumed.capture().state) == golden_fp
-
-    def test_sharded_world_round_trips_through_file(self, tmp_path):
-        from repro.sharding import ShardedWorld
-
-        with self._build(execution_backend="sharded", shards=2) as sharded:
-            sharded.run_until(60.0)
-            path = sharded.capture().save(tmp_path / "sharded.json")
-        with ShardedWorld.from_snapshot(path, 3) as rewrapped:
-            assert rewrapped.now_s == pytest.approx(60.0)
-            assert rewrapped.plan.shards == 3
-
-    def test_sharded_refuses_scalar_backends(self):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError, match="physics"):
-            build_quickstart_world(
-                seed=0, execution_backend="sharded", shards=2
-            )
-        with pytest.raises(ConfigurationError, match="control"):
-            build_quickstart_world(
-                seed=0,
-                physics_backend="vectorized",
-                execution_backend="sharded",
-                shards=2,
-            )
-
-    def test_sharded_refuses_too_many_shards(self):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            self._build(execution_backend="sharded", shards=64)
-
-    def test_single_backend_rejects_shard_count(self):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError, match="shards"):
-            build_quickstart_world(seed=0, shards=2)

@@ -178,6 +178,34 @@ class TestTraceBuffer:
         assert buffer.recorded == 5
         assert [t.time_s for t in buffer.latest()] == [2.0, 3.0, 4.0]
 
+    def test_stage_totals_cover_every_recorded_tick(self):
+        # The ring keeps the tail; the stage totals keep counting.
+        buffer = TraceBuffer(capacity=3)
+        traces = [
+            TraceBuilder(
+                time_s=float(i), controller="c", kind="leaf",
+                sense_duration_s=1.0 + i, aggregate_duration_s=0.5 * i,
+                decide_duration_s=0.25, actuate_duration_s=2.0 * i,
+            ).finish()
+            for i in range(10)
+        ]
+        for trace in traces:
+            buffer.record(trace)
+        assert buffer.recorded == 10 > buffer.capacity
+        assert buffer.stage_wall_s == {
+            "sense": sum(t.sense_duration_s for t in traces),
+            "aggregate": sum(t.aggregate_duration_s for t in traces),
+            "decide": sum(t.decide_duration_s for t in traces),
+            "actuate": sum(t.actuate_duration_s for t in traces),
+        }
+        retained = sum(t.sense_duration_s for t in buffer.latest())
+        assert retained < buffer.stage_wall_s["sense"]
+        # Host timing is not snapshot state: restore leaves it alone.
+        restored = TraceBuffer(capacity=3)
+        restored.restore_state(buffer.snapshot_state())
+        assert restored.recorded == 10
+        assert set(restored.stage_wall_s.values()) == {0.0}
+
     def test_zero_capacity_rejected(self):
         with pytest.raises(ConfigurationError):
             TraceBuffer(capacity=0)

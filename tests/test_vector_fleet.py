@@ -406,35 +406,6 @@ class TestCappedRowsAndMaskedAccounting:
                     regimes.add("unbound")
         assert regimes == {"floor", "duty", "dvfs", "unbound"}
 
-    def test_owned_mask_steps_only_its_rows(self):
-        from repro.server.vectorized import VectorizedFleetStepper
-
-        scalar, vector = _capped_fleets(3)
-        stepper = VectorizedFleetStepper(vector)
-        owned = np.arange(len(vector.servers)) % 3 == 1
-        stepper.set_owned_mask(owned)
-        untouched = {
-            sid: _server_state(server)
-            for sid, server in vector.servers.items()
-        }
-        vector.servers["s004"].set_online(False)  # owned (4 % 3 == 1)
-        scalar.servers["s004"].set_online(False)
-        untouched["s005"] = _server_state(vector.servers["s005"])
-        for t in (1.0, 2.0, 3.0):
-            stepper.step(t, 1.0)
-            for server in scalar.servers.values():
-                server.step(t, 1.0)
-        for i, (sid, ref) in enumerate(scalar.servers.items()):
-            got = _server_state(vector.servers[sid])
-            if owned[i]:
-                assert got == _server_state(ref), sid
-            else:
-                assert got == untouched[sid], sid
-        # Lifting the mask resumes every row from where it stood.
-        stepper.set_owned_mask(None)
-        stepper.step(4.0, 1.0)
-        assert vector.servers["s000"]._last_step_s == 4.0
-
 
 # ---------------------------------------------------------------------------
 # Column seeding, and the first step off the scalar lane
