@@ -14,7 +14,6 @@ three-band step converges in one or two cycles and sits still.
 from repro.analysis.experiment import time_above
 from repro.analysis.worlds import build_surge_world
 from repro.analysis.report import Table
-from repro.config import ControllerConfig, DynamoConfig
 from repro.core.dynamo import Dynamo
 from repro.core.pi_controller import PiPowerController
 from repro.core.three_band import ThreeBandController

@@ -14,7 +14,6 @@ Scaled to 200 servers (PDU rating scaled with the fleet).
 from repro.analysis.experiment import settling_time, time_above
 from repro.analysis.report import Table
 from repro.analysis.scenarios import ashburn_load_test
-from repro.core.three_band import ThreeBandController
 from repro.units import hours, to_kilowatts
 
 SERVER_COUNT = 200

@@ -8,8 +8,6 @@ servers consuming >= 210 W (their caps floor at 210 W), while cache
 servers — the higher priority group — receive no caps at all.
 """
 
-import numpy as np
-
 from repro.analysis.report import Table
 from repro.analysis.scenarios import mixed_service_row
 from repro.core.capping_plan import build_capping_plan

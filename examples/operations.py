@@ -4,23 +4,18 @@
 Walks through the operational lessons the paper shares after three
 years in production:
 
-1. **Monitoring is as important as capping** — generate the operator's
-   monitoring report over a live deployment.
-2. **Service-aware design simplifies capping testing** — run the
+1. **Service-aware design simplifies capping testing** — run the
    end-to-end capping harness against a non-critical row, then inspect
    service-specific logic in dry-run mode without throttling anything.
-3. **Use accurate estimation** — bias the fleet's power estimators and
+2. **Use accurate estimation** — bias the fleet's power estimators and
    watch breaker-reading validation pull them back.
-4. **Keep the design simple / staged rollout** — push a bad agent
+3. **Keep the design simple / staged rollout** — push a bad agent
    change through the four-phase rollout and see the health gate catch
    it at the 1% stage.
 
 Run:  python examples/operations.py     (~10 s)
 """
 
-import numpy as np
-
-from repro.analysis.monitoring import build_report
 from repro.core.dryrun import CappingTestHarness, DryRunLeafController
 from repro.core.dynamo import Dynamo
 from repro.core.rollout import StagedRollout
@@ -47,7 +42,7 @@ def main() -> None:
         topology,
         [
             # Legacy web servers without power sensors: their power is
-            # estimated from CPU utilization, which part 3 exercises.
+            # estimated from CPU utilization, which part 2 exercises.
             ServiceAllocation("web", 16, platform=WESTMERE_2011),
             ServiceAllocation("hadoop", 8),
         ],
@@ -58,14 +53,9 @@ def main() -> None:
     dynamo.start()
     engine.run_until(120.0)
 
-    # -- 1. Monitoring -------------------------------------------------
+    # -- 1a. End-to-end capping test on a non-critical row --------------
     print("=" * 64)
-    print("1. MONITORING REPORT")
-    print(build_report(dynamo).render())
-
-    # -- 2a. End-to-end capping test on a non-critical row --------------
-    print("\n" + "=" * 64)
-    print("2a. END-TO-END CAPPING TEST (non-critical row rpp0.0.0)")
+    print("1a. END-TO-END CAPPING TEST (non-critical row rpp0.0.0)")
     controller = dynamo.leaf_controller("rpp0.0.0")
     harness = CappingTestHarness(engine, controller)
     report = harness.run()
@@ -73,8 +63,8 @@ def main() -> None:
           f"  uncapped: {report.uncapped}  latency: {report.cap_latency_s}s")
     print(f"   => harness {'PASSED' if report.passed else 'FAILED'}")
 
-    # -- 2b. Dry-run inspection ----------------------------------------
-    print("\n2b. DRY-RUN MODE (decisions logged, nothing throttled)")
+    # -- 1b. Dry-run inspection ----------------------------------------
+    print("\n1b. DRY-RUN MODE (decisions logged, nothing throttled)")
     transport = dynamo.transport
     device = topology.device("rpp0.0.1")
     servers = sorted(dynamo.leaf_controller("rpp0.0.1").server_ids)
@@ -88,9 +78,9 @@ def main() -> None:
     print(f"   actually capped servers: "
           f"{sum(1 for s in fleet.servers.values() if s.rapl.capped)}")
 
-    # -- 3. Estimator validation against breaker readings ---------------
+    # -- 2. Estimator validation against breaker readings ---------------
     print("\n" + "=" * 64)
-    print("3. BREAKER-READING VALIDATION + RECALIBRATION")
+    print("2. BREAKER-READING VALIDATION + RECALIBRATION")
     leaf = dynamo.leaf_controller("rpp0.0.0")
     row_servers = {
         sid: fleet.servers[sid] for sid in leaf.server_ids
@@ -107,9 +97,9 @@ def main() -> None:
     print(f"   validations: {validator.validations}, "
           f"recalibrations: {validator.recalibrations}")
 
-    # -- 4. Staged rollout catching a bad change ------------------------
+    # -- 3. Staged rollout catching a bad change ------------------------
     print("\n" + "=" * 64)
-    print("4. FOUR-PHASE STAGED ROLLOUT")
+    print("3. FOUR-PHASE STAGED ROLLOUT")
 
     def bad_change(agent):
         agent.crash()

@@ -1,23 +1,1 @@
 """Experiment harness utilities: scenarios, runners, and reporting."""
-
-from repro.analysis.experiment import ExperimentRun, run_for
-from repro.analysis.report import Table, format_table
-from repro.analysis.scenarios import (
-    Scenario,
-    ashburn_load_test,
-    altoona_outage_recovery,
-    mixed_service_row,
-    prineville_hadoop_turbo,
-)
-
-__all__ = [
-    "ExperimentRun",
-    "Scenario",
-    "Table",
-    "altoona_outage_recovery",
-    "ashburn_load_test",
-    "format_table",
-    "mixed_service_row",
-    "prineville_hadoop_turbo",
-    "run_for",
-]

@@ -2,24 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from repro.simulation.engine import SimulationEngine
 from repro.telemetry.timeseries import TimeSeries
-
-
-@dataclass
-class ExperimentRun:
-    """Bookkeeping for one experiment execution."""
-
-    engine: SimulationEngine
-    notes: dict[str, float] = field(default_factory=dict)
-
-    def note(self, key: str, value: float) -> None:
-        """Record a scalar result."""
-        self.notes[key] = float(value)
 
 
 def run_for(engine: SimulationEngine, duration_s: float) -> None:

@@ -9,19 +9,4 @@
 * :class:`LeafOnlyCapping` — leaf controllers without upper-level
   coordination, the strawman that fails when power is oversubscribed
   above the leaf level (all RPPs within limits, SB still over).
-* :class:`OracleCapping` — physically unrealizable instantaneous,
-  perfectly informed capping; an upper bound for capping quality.
 """
-
-from repro.baselines.local_only import LeafOnlyCapping
-from repro.baselines.oracle import OracleCapping
-from repro.baselines.static_frequency import StaticFrequencyCap, static_cap_for_budget
-from repro.baselines.uncontrolled import UncontrolledBaseline
-
-__all__ = [
-    "LeafOnlyCapping",
-    "OracleCapping",
-    "StaticFrequencyCap",
-    "UncontrolledBaseline",
-    "static_cap_for_budget",
-]

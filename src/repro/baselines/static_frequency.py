@@ -10,7 +10,6 @@ server: ``cap = device_budget / n_servers`` less a safety margin.
 from __future__ import annotations
 
 from repro.errors import ConfigurationError
-from repro.fleet import Fleet
 from repro.server.server import Server
 
 
@@ -39,11 +38,6 @@ class StaticFrequencyCap:
         self.servers = list(servers)
         self.budget_w = budget_w
         self.cap_w = static_cap_for_budget(budget_w, len(servers))
-
-    @classmethod
-    def for_fleet(cls, fleet: Fleet, budget_w: float) -> "StaticFrequencyCap":
-        """Build over an entire fleet."""
-        return cls(list(fleet.servers.values()), budget_w)
 
     def apply(self) -> float:
         """Set the static cap on every server; returns the cap used.

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.chaos.faults import Fault, FaultSpec, build_fault
-from repro.core.coordinator import PRIORITY_CHAOS
+from repro.core.coordinator import PRIORITY_CHAOS, PRIORITY_CHAOS_PROBE
 from repro.core.dynamo import Dynamo
 from repro.fleet import Fleet, FleetDriver
 from repro.power.topology import PowerTopology
@@ -130,7 +130,7 @@ class ChaosOrchestrator:
     ) -> None:
         """Sample ``healthy(ctx)`` periodically into ``health_series``.
 
-        The probe runs at sampler priority-adjacent ``PRIORITY_CHAOS + 1``
+        The probe runs at ``PRIORITY_CHAOS_PROBE``, just after injections,
         so it observes the world after injections land but before it is
         repaired by the same instant's controllers.
         """
@@ -140,7 +140,7 @@ class ChaosOrchestrator:
             interval_s,
             self._sample_health,
             label="chaos.health-probe",
-            priority=PRIORITY_CHAOS + 1,
+            priority=PRIORITY_CHAOS_PROBE,
         )
         self._probe.start(phase=phase)
 

@@ -445,6 +445,3 @@ class DynamoConfig:
     # (footnote 2): leaf controllers sit at the RPP / PDU-breaker level.
     leaf_level: str = "rpp"
     enable_backup_controllers: bool = True
-
-
-DEFAULT_CONFIG = DynamoConfig()

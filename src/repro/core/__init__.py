@@ -20,64 +20,3 @@ sense → aggregate → decide → actuate template owned by
 :class:`~repro.telemetry.tracing.TickTrace` records emitted into the
 deployment-wide trace buffer.
 """
-
-from repro.core.agent import DynamoAgent
-from repro.core.bucket import allocate_high_bucket_first
-from repro.core.capping_plan import CappingPlan, ServerCut
-from repro.core.controller import (
-    BaseController,
-    DecisionPolicy,
-    PowerController,
-)
-from repro.core.dryrun import (
-    CappingTestHarness,
-    DryRunLeafController,
-    DryRunRecorder,
-)
-from repro.core.dynamo import Dynamo
-from repro.core.failover import FailoverController
-from repro.core.hierarchy import build_controller_hierarchy
-from repro.core.leaf_controller import (
-    LeafPowerController,
-    NonServerComponent,
-)
-from repro.core.messages import CapRequest, PowerReading
-from repro.core.offender import punish_offender_first
-from repro.core.pi_controller import PiPowerController
-from repro.core.priority import PriorityPolicy
-from repro.core.rollout import RolloutState, StagedRollout
-from repro.core.three_band import BandAction, ThreeBandController
-from repro.core.upper_controller import UpperLevelPowerController
-from repro.core.validation import BreakerReadingSource, BreakerValidator
-from repro.core.watchdog import AgentWatchdog
-
-__all__ = [
-    "AgentWatchdog",
-    "BandAction",
-    "BaseController",
-    "BreakerReadingSource",
-    "BreakerValidator",
-    "CapRequest",
-    "CappingPlan",
-    "CappingTestHarness",
-    "DryRunLeafController",
-    "DecisionPolicy",
-    "DryRunRecorder",
-    "Dynamo",
-    "DynamoAgent",
-    "FailoverController",
-    "LeafPowerController",
-    "NonServerComponent",
-    "PiPowerController",
-    "PowerController",
-    "PowerReading",
-    "PriorityPolicy",
-    "RolloutState",
-    "ServerCut",
-    "StagedRollout",
-    "ThreeBandController",
-    "UpperLevelPowerController",
-    "allocate_high_bucket_first",
-    "build_controller_hierarchy",
-    "punish_offender_first",
-]

@@ -10,7 +10,8 @@ hierarchy, leaf controllers on the 3 s cycle and upper controllers on the
 Event priorities guarantee the intra-instant ordering nested control
 loops need: when a leaf tick and an upper tick land on the same instant,
 the leaf runs first, so the upper controller always sees the freshest
-aggregations.
+aggregations.  The one table below holds the priority of every recurring
+activity in the simulation; each scheduler reads its own constant.
 """
 
 from __future__ import annotations
@@ -21,12 +22,22 @@ from repro.errors import ConfigurationError
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.process import PeriodicProcess
 
-#: Event priorities (lower runs first at the same instant).
+#: Event priorities (lower runs first at the same instant).  Physics
+#: steps first; injected faults land on the stepped world and the chaos
+#: probe observes them; breaker readings and samplers record the
+#: instant; the governor moves bands before the leaves tick; upper
+#: controllers (offset by depth, deepest first) see fresh leaf
+#: aggregates; the breaker validator checks them; the watchdog sweeps
+#: last.
 PRIORITY_FLEET_STEP = 0
 PRIORITY_CHAOS = 2
+PRIORITY_CHAOS_PROBE = 3
+PRIORITY_BREAKER_READING = 4
 PRIORITY_SAMPLER = 5
+PRIORITY_GOVERNOR = 8
 PRIORITY_LEAF = 10
 PRIORITY_UPPER = 20
+PRIORITY_VALIDATOR = 25
 PRIORITY_WATCHDOG = 30
 
 

@@ -261,10 +261,6 @@ class UpperLevelPowerController(BaseController[list[ChildState]]):
         """Children currently under a contractual limit from here."""
         return sorted(self._limited_children)
 
-    def limited_child_limit_w(self, name: str) -> float | None:
-        """The contractual limit this controller issued to a child."""
-        return self._limited_children.get(name)
-
     def __repr__(self) -> str:
         return (
             f"UpperLevelPowerController({self.name!r}, "

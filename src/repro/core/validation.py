@@ -14,6 +14,7 @@ estimation models (estimated aggregation — tune the models).
 
 from __future__ import annotations
 
+from repro.core.coordinator import PRIORITY_BREAKER_READING, PRIORITY_VALIDATOR
 from repro.core.leaf_controller import LeafPowerController
 from repro.errors import ConfigurationError
 from repro.power.device import PowerDevice
@@ -47,7 +48,7 @@ class BreakerReadingSource:
             interval_s,
             self._sample,
             label=f"breaker-reading.{device.name}",
-            priority=4,
+            priority=PRIORITY_BREAKER_READING,
         )
 
     def start(self, phase: float = 0.0) -> None:
@@ -110,7 +111,7 @@ class BreakerValidator:
             interval_s,
             self._tick,
             label=f"breaker-validator.{controller.name}",
-            priority=25,
+            priority=PRIORITY_VALIDATOR,
         )
 
     def start(self, phase: float = 0.0) -> None:

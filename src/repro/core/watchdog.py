@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.agent import DynamoAgent
+from repro.core.coordinator import PRIORITY_WATCHDOG
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.process import PeriodicProcess
 
@@ -57,7 +58,6 @@ class AgentWatchdog:
         agents: list[DynamoAgent],
         *,
         interval_s: float = 30.0,
-        priority: int = 30,
         backoff_base_s: float = 30.0,
         backoff_max_s: float = 480.0,
         restart_budget: int = 8,
@@ -86,7 +86,7 @@ class AgentWatchdog:
             interval_s,
             self._sweep,
             label="agent-watchdog",
-            priority=priority,
+            priority=PRIORITY_WATCHDOG,
         )
         for agent in agents:
             self.add_agent(agent)
@@ -223,12 +223,6 @@ class AgentWatchdog:
         """Restarts of ``server_id`` since it was last seen healthy."""
         state = self._states.get(server_id)
         return 0 if state is None else state.consecutive_restarts
-
-    def last_restart_time_s(self) -> float | None:
-        """Time of the most recent restart, or None if none yet."""
-        if not self.restart_log:
-            return None
-        return self.restart_log[-1].time_s
 
     @property
     def agent_count(self) -> int:

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.config import EconomicsConfig, ThreeBandConfig
+from repro.core.coordinator import PRIORITY_GOVERNOR
 from repro.core.health import OperatingMode
 from repro.economics.ledger import CostCarbonLedger
 from repro.economics.signals import get_signal, normalized_score
@@ -51,11 +52,6 @@ if TYPE_CHECKING:
     from repro.core.dynamo import Dynamo
     from repro.fleet import Fleet
     from repro.simulation.engine import SimulationEngine
-
-# Between the chaos injector (2) and the leaf controllers (10): the
-# governor adjusts bands before the leaves tick at the same instant,
-# and never preempts the fleet physics step (0).
-PRIORITY_GOVERNOR = 8
 
 # Smoothing for the batch-group power baseline used in deferred-energy
 # accounting; slow enough to ride out workload noise at minute cadence.
@@ -430,4 +426,4 @@ class EconomicGovernor:
                 )
 
 
-__all__ = ["PRIORITY_GOVERNOR", "EconomicGovernor", "GroupDemand", "water_fill"]
+__all__ = ["EconomicGovernor", "GroupDemand", "water_fill"]

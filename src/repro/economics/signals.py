@@ -17,8 +17,7 @@ Three shapes cover what grid data actually looks like:
   scenario authoring.
 * :class:`ReplaySignal` — replay a recorded ``time_s,value`` CSV trace
   (day-ahead market data, a grid operator's carbon feed) with linear
-  interpolation and optional looping, mirroring
-  :class:`~repro.workloads.replay.TraceWorkload`.
+  interpolation and optional looping.
 """
 
 from __future__ import annotations
@@ -375,11 +374,6 @@ def get_signal(name: str) -> EconomicSignal:
         raise ConfigurationError(
             f"unknown signal {name!r}; known: {known}"
         ) from None
-
-
-def all_signal_names() -> list[str]:
-    """Every registered signal name, sorted."""
-    return sorted(SIGNALS)
 
 
 # ---------------------------------------------------------------------------

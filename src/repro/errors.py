@@ -24,20 +24,6 @@ class SimulationError(ReproError):
     """The discrete-event engine was driven incorrectly."""
 
 
-class BreakerTrippedError(ReproError):
-    """A circuit breaker tripped, taking its subtree offline.
-
-    Attributes:
-        device_name: the power device whose breaker tripped.
-        time: simulation time of the trip, in seconds.
-    """
-
-    def __init__(self, device_name: str, time: float) -> None:
-        super().__init__(f"breaker tripped on {device_name!r} at t={time:.1f}s")
-        self.device_name = device_name
-        self.time = time
-
-
 class RpcError(ReproError):
     """An RPC to an agent or controller failed."""
 
@@ -57,22 +43,6 @@ class AgentError(RpcError):
 
 class CappingError(ReproError):
     """A power-capping command could not be applied."""
-
-
-class AggregationInvalidError(ReproError):
-    """Too many power readings failed; aggregation must not be trusted.
-
-    Mirrors the paper's rule that when more than 20% of a leaf controller's
-    servers fail to report power, the controller treats the aggregate as
-    invalid and alerts a human instead of acting.
-    """
-
-    def __init__(self, failed: int, total: int) -> None:
-        super().__init__(
-            f"power aggregation invalid: {failed}/{total} readings failed"
-        )
-        self.failed = failed
-        self.total = total
 
 
 class ControllerError(ReproError):

@@ -8,24 +8,3 @@ the whole forest is evaluated through a compiled
 :class:`~repro.power.table.DeviceTable`, bit-identical to the recursive
 per-device definitions.
 """
-
-from repro.power.breaker import BreakerCurve, CircuitBreaker, STANDARD_CURVES
-from repro.power.builder import DataCenterSpec, build_datacenter
-from repro.power.device import DeviceLevel, PowerDevice
-from repro.power.loss import PowerLossModel
-from repro.power.oversubscription import OversubscriptionPlan, plan_quotas
-from repro.power.topology import PowerTopology
-
-__all__ = [
-    "BreakerCurve",
-    "CircuitBreaker",
-    "DataCenterSpec",
-    "DeviceLevel",
-    "OversubscriptionPlan",
-    "PowerDevice",
-    "PowerLossModel",
-    "PowerTopology",
-    "STANDARD_CURVES",
-    "build_datacenter",
-    "plan_quotas",
-]

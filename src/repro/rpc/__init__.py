@@ -11,18 +11,3 @@ alerting paths.
 retries with deterministic backoff) and per-endpoint circuit breakers on
 top of any :class:`Transport`, feeding per-endpoint health history.
 """
-
-from repro.rpc.resilient import BreakerState, CircuitBreaker, ResilientTransport
-from repro.rpc.service import RequestHandler, RpcService
-from repro.rpc.transport import FailureInjector, RpcTransport, Transport
-
-__all__ = [
-    "BreakerState",
-    "CircuitBreaker",
-    "FailureInjector",
-    "RequestHandler",
-    "ResilientTransport",
-    "RpcService",
-    "RpcTransport",
-    "Transport",
-]

@@ -7,30 +7,3 @@ dynamics (Figure 9), on-board power sensors (present on 2011+ servers),
 and the CPU-utilization power estimation model used when sensors are
 absent.
 """
-
-from repro.server.estimator import PowerEstimator, fit_linear_power_model
-from repro.server.platform import (
-    HASWELL_2015,
-    PLATFORMS,
-    WESTMERE_2011,
-    ServerPlatform,
-)
-from repro.server.power_model import PowerModel
-from repro.server.rapl import RaplModule
-from repro.server.sensor import PowerSensor
-from repro.server.server import Server
-from repro.server.turbo import TurboBoost
-
-__all__ = [
-    "HASWELL_2015",
-    "PLATFORMS",
-    "PowerEstimator",
-    "PowerModel",
-    "PowerSensor",
-    "RaplModule",
-    "Server",
-    "ServerPlatform",
-    "TurboBoost",
-    "WESTMERE_2011",
-    "fit_linear_power_model",
-]

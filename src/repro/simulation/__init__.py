@@ -5,17 +5,3 @@ update server utilization, agents answer power reads, controllers pull and
 cap on their cycles, and breakers integrate thermal overdraw — all as
 scheduled events against a single virtual clock.
 """
-
-from repro.simulation.clock import Clock
-from repro.simulation.engine import SimulationEngine
-from repro.simulation.events import Event
-from repro.simulation.process import PeriodicProcess
-from repro.simulation.rng import RngStreams
-
-__all__ = [
-    "Clock",
-    "Event",
-    "PeriodicProcess",
-    "RngStreams",
-    "SimulationEngine",
-]

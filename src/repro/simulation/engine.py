@@ -14,7 +14,7 @@ breaker integration) is layered on top via callbacks or
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Iterable
+from typing import Callable
 
 from repro.errors import SimulationError
 from repro.simulation.clock import Clock
@@ -157,10 +157,6 @@ class SimulationEngine:
                     )
         finally:
             self._running = False
-
-    def drain_labels(self) -> Iterable[str]:
-        """Labels of pending events (diagnostic helper for tests)."""
-        return [e.label for e in sorted(self._queue) if not e.cancelled]
 
     # ------------------------------------------------------------------
     # Snapshot support

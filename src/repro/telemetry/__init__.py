@@ -10,36 +10,3 @@ human-intervention alarms into, and the per-tick control-cycle trace
 ring (:class:`TraceBuffer` of :class:`TickTrace` records) every
 controller's sense → aggregate → decide → actuate pipeline feeds.
 """
-
-from repro.telemetry.alerts import Alert, AlertSink
-from repro.telemetry.cdf import empirical_cdf, percentile
-from repro.telemetry.events import EventLog, TelemetryEvent
-from repro.telemetry.sampler import PowerSampler
-from repro.telemetry.timeseries import TimeSeries
-from repro.telemetry.tracing import (
-    TickTrace,
-    TraceBuffer,
-    TraceMetrics,
-)
-from repro.telemetry.variation import (
-    max_variation_in_window,
-    variation_series,
-    variation_summary,
-)
-
-__all__ = [
-    "Alert",
-    "AlertSink",
-    "EventLog",
-    "PowerSampler",
-    "TelemetryEvent",
-    "TickTrace",
-    "TimeSeries",
-    "TraceBuffer",
-    "TraceMetrics",
-    "empirical_cdf",
-    "max_variation_in_window",
-    "percentile",
-    "variation_series",
-    "variation_summary",
-]

@@ -46,10 +46,6 @@ class EventLog:
         """All events, in record order."""
         return list(self._events)
 
-    def by_kind(self, kind: str) -> list[TelemetryEvent]:
-        """Events matching one kind."""
-        return [e for e in self._events if e.kind == kind]
-
     def by_kind_prefix(self, prefix: str) -> list[TelemetryEvent]:
         """Events whose kind starts with ``prefix`` (e.g. ``"inject."``)."""
         return [e for e in self._events if e.kind.startswith(prefix)]

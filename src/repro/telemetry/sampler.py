@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Callable
 
+from repro.core.coordinator import PRIORITY_SAMPLER
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.process import PeriodicProcess
 from repro.telemetry.timeseries import TimeSeries
@@ -31,7 +32,11 @@ class PowerSampler:
         self._sources: dict[str, PowerSource] = {}
         self.series: dict[str, TimeSeries] = {}
         self._process = PeriodicProcess(
-            engine, interval_s, self._tick, label=f"{name}.tick", priority=5
+            engine,
+            interval_s,
+            self._tick,
+            label=f"{name}.tick",
+            priority=PRIORITY_SAMPLER,
         )
 
     def add_source(self, source_id: str, source: PowerSource) -> None:

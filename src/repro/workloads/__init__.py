@@ -9,49 +9,3 @@ power-variation ordering matches the paper: f4 storage has the lowest
 median but highest tail variation; news feed and web have the highest
 medians; cache is the steadiest overall.
 """
-
-from repro.workloads.base import (
-    OrnsteinUhlenbeckNoise,
-    StochasticWorkload,
-    WorkloadModifier,
-)
-from repro.workloads.cache import CacheWorkload
-from repro.workloads.database import DatabaseWorkload
-from repro.workloads.diurnal import DiurnalShape
-from repro.workloads.events import (
-    LoadTestEvent,
-    SiteOutageRecoveryEvent,
-    TrafficSurgeEvent,
-)
-from repro.workloads.hadoop import HadoopWorkload
-from repro.workloads.loadbalancer import AssignedShareWorkload, LoadBalancer
-from repro.workloads.newsfeed import NewsfeedWorkload
-from repro.workloads.registry import (
-    SERVICE_SPECS,
-    ServiceSpec,
-    make_workload,
-    service_spec,
-)
-from repro.workloads.storage import StorageWorkload
-from repro.workloads.web import WebWorkload
-
-__all__ = [
-    "AssignedShareWorkload",
-    "CacheWorkload",
-    "DatabaseWorkload",
-    "DiurnalShape",
-    "HadoopWorkload",
-    "LoadBalancer",
-    "LoadTestEvent",
-    "NewsfeedWorkload",
-    "OrnsteinUhlenbeckNoise",
-    "SERVICE_SPECS",
-    "ServiceSpec",
-    "SiteOutageRecoveryEvent",
-    "StochasticWorkload",
-    "StorageWorkload",
-    "TrafficSurgeEvent",
-    "WorkloadModifier",
-    "make_workload",
-    "service_spec",
-]

@@ -40,6 +40,3 @@ class DiurnalShape:
         # cos(0) = 1 at the peak time.
         blend = (1.0 + math.cos(phase)) / 2.0
         return self.trough + (self.peak - self.trough) * blend
-
-
-FLAT = DiurnalShape(trough=0.5, peak=0.5, peak_time_s=0.0)

@@ -2,17 +2,13 @@
 
 import pytest
 
-from repro.baselines.oracle import OracleCapping
 from repro.baselines.static_frequency import (
     StaticFrequencyCap,
     static_cap_for_budget,
 )
 from repro.errors import ConfigurationError
-from repro.fleet import Fleet, FleetDriver, ServiceAllocation, populate_fleet
-from repro.simulation.engine import SimulationEngine
-from repro.simulation.rng import RngStreams
 
-from tests.conftest import make_server, settle_server, tiny_topology
+from tests.conftest import make_server, settle_server
 
 
 class TestStaticCap:
@@ -74,38 +70,3 @@ class TestStaticCap:
             servers[0].rapl.limit_w
             == servers[0].platform.effective_min_cap_w()
         )
-
-
-class TestOracle:
-    def test_oracle_holds_device_at_target(self, rng_streams):
-        engine = SimulationEngine()
-        topology = tiny_topology()
-        rpp = topology.device("rpp0")
-        fleet = populate_fleet(
-            topology, [ServiceAllocation("cache", 8)], rng_streams
-        )
-        driver = FleetDriver(engine, topology, fleet)
-        driver.start()
-        engine.run_until(30.0)
-        # Shrink rpp0 below its settled draw so the oracle must act.
-        rpp.rated_power_w = rpp.power_w() * 0.9
-        rpp.breaker.rated_power_w = rpp.rated_power_w
-        oracle = OracleCapping(engine, topology, fleet)
-        oracle.start()
-        engine.run_until(150.0)
-        assert oracle.cap_events > 0
-        assert rpp.power_w() <= rpp.rated_power_w
-        assert not driver.trips
-
-    def test_oracle_idle_when_under_limit(self, rng_streams):
-        engine = SimulationEngine()
-        topology = tiny_topology()
-        fleet = populate_fleet(
-            topology, [ServiceAllocation("cache", 4)], rng_streams
-        )
-        oracle = OracleCapping(engine, topology, fleet)
-        FleetDriver(engine, topology, fleet).start()
-        oracle.start()
-        engine.run_until(60.0)
-        assert oracle.cap_events == 0
-        assert not any(s.rapl.capped for s in fleet.servers.values())

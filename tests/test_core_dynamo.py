@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import DynamoConfig
+from repro.config import ThreeBandConfig
 from repro.core.dynamo import Dynamo
 from repro.fleet import FleetDriver, ServiceAllocation, populate_fleet
 from repro.power.oversubscription import plan_quotas
@@ -106,3 +106,50 @@ class TestRunning:
         )
         assert agent.healthy
         assert dynamo.watchdog.restarts == 1
+
+
+class TestBandOverride:
+    def started(self):
+        engine, _, _, dynamo, driver = make_deployment(seed=9)
+        driver.start()
+        dynamo.start()
+        return engine, dynamo
+
+    def test_override_changes_thresholds(self):
+        engine, dynamo = self.started()
+        custom = ThreeBandConfig(
+            capping_threshold=0.97,
+            capping_target=0.90,
+            uncapping_threshold=0.80,
+        )
+        dynamo.set_band_config("rpp0", custom)
+        controller = dynamo.leaf_controller("rpp0")
+        cap_at, target, uncap = controller.band.thresholds_w(100_000.0)
+        assert cap_at == pytest.approx(97_000.0)
+        assert target == pytest.approx(90_000.0)
+        assert uncap == pytest.approx(80_000.0)
+
+    def test_override_preserves_capping_state(self):
+        engine, dynamo = self.started()
+        engine.run_until(30.0)
+        leaf = dynamo.leaf_controller("rpp0")
+        leaf.set_contractual_limit_w(leaf.last_aggregate_power_w * 0.9)
+        engine.run_until(45.0)
+        assert leaf.band.capping_active
+        dynamo.set_band_config("rpp0", ThreeBandConfig())
+        assert leaf.band.capping_active
+
+    def test_override_per_level(self):
+        # Different trade-offs at different levels, as the paper allows.
+        engine, dynamo = self.started()
+        dynamo.set_band_config(
+            "sb0",
+            ThreeBandConfig(
+                capping_threshold=0.98,
+                capping_target=0.93,
+                uncapping_threshold=0.85,
+            ),
+        )
+        sb = dynamo.controller("sb0")
+        rpp = dynamo.leaf_controller("rpp0")
+        assert sb.band.config != rpp.band.config

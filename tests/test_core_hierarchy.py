@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.config import ControllerConfig, DynamoConfig
+from repro.config import DynamoConfig
 from repro.core.coordinator import ControllerCoordinator
 from repro.core.failover import FailoverController
 from repro.core.hierarchy import build_controller_hierarchy

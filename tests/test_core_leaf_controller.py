@@ -5,7 +5,10 @@ import pytest
 
 from repro.config import ControllerConfig
 from repro.core.agent import DynamoAgent
-from repro.core.leaf_controller import LeafPowerController
+from repro.core.leaf_controller import (
+    LeafPowerController,
+    NonServerComponent,
+)
 from repro.core.three_band import BandAction
 from repro.power.device import DeviceLevel, PowerDevice
 from repro.rpc.transport import RpcTransport
@@ -291,3 +294,44 @@ class TestReadingCache:
         rig.transport.injector.take_down("agent:s0")
         rig.controller.tick(3.0)
         assert not rig.controller._last_readings["s0"].stale
+
+
+class TestNonServerComponents:
+    def build_controller(self):
+        transport = RpcTransport(np.random.default_rng(0))
+        device = PowerDevice("rpp0", DeviceLevel.RPP, 100_000.0)
+        return LeafPowerController(device, [], transport), device
+
+    def test_component_with_source_pulled_directly(self):
+        controller, _ = self.build_controller()
+        controller.add_component(
+            NonServerComponent("tor0", source=lambda: 168.0)
+        )
+        controller.tick(0.0)
+        assert controller.last_aggregate_power_w == pytest.approx(168.0)
+
+    def test_component_without_source_estimated(self):
+        controller, _ = self.build_controller()
+        controller.add_component(
+            NonServerComponent("tor1", source=None, estimate_w=180.0)
+        )
+        controller.tick(0.0)
+        assert controller.last_aggregate_power_w == pytest.approx(180.0)
+
+    def test_components_listed(self):
+        controller, _ = self.build_controller()
+        controller.add_component(NonServerComponent("a", estimate_w=1.0))
+        controller.add_component(NonServerComponent("b", estimate_w=2.0))
+        assert [c.name for c in controller.components] == ["a", "b"]
+
+    def test_components_never_capped(self):
+        # Monitoring-only: a component pushing the aggregate over the
+        # limit triggers capping decisions but no cap is (or can be)
+        # sent to the component — with no servers, the cut is simply
+        # unallocatable and alerts.
+        controller, device = self.build_controller()
+        controller.add_component(
+            NonServerComponent("hog", estimate_w=device.rated_power_w * 1.05)
+        )
+        controller.tick(0.0)
+        assert controller.capped_server_ids == []

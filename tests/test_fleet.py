@@ -5,7 +5,6 @@ import json
 
 import pytest
 
-from repro.config import DynamoConfig
 from repro.core.dynamo import Dynamo
 from repro.core.validation import BreakerReadingSource, BreakerValidator
 from repro.errors import ConfigurationError

@@ -7,8 +7,6 @@ budget, power settles below the limit, breakers do not trip, and the
 baselines without (full) Dynamo do trip.
 """
 
-import pytest
-
 from repro.analysis.worlds import build_surge_world
 from repro.baselines.local_only import LeafOnlyCapping
 from repro.baselines.uncontrolled import UncontrolledBaseline

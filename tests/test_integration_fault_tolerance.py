@@ -6,8 +6,6 @@ controller crashes (primary/backup failover).  These tests inject those
 faults *during* capping events and assert safety holds.
 """
 
-import pytest
-
 from repro.analysis.worlds import build_surge_world
 from repro.core.dynamo import Dynamo
 from repro.core.failover import FailoverController

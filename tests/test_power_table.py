@@ -22,7 +22,6 @@ from repro.errors import ConfigurationError
 from repro.fleet import Fleet
 from repro.power.device import DeviceLevel, PowerDevice
 from repro.power.loss import PowerLossModel
-from repro.power.network import NetworkSwitch
 from repro.power.topology import PowerTopology
 from repro.server.platform import HASWELL_2015
 from repro.server.server import ConstantWorkload, Server
@@ -99,8 +98,10 @@ def build_forest(specs: list[dict], backend: str):
                 servers[load_id] = server
                 device.attach_load(load_id, server.power_w)
             elif load[0] == "switch":
-                switch = NetworkSwitch(load_id, active_ports=load[1])
-                device.attach_load(load_id, switch.power_w)
+                # A ToR switch: chassis + active ports + half-load traffic.
+                device.attach_load(
+                    load_id, lambda ports=load[1]: 120.0 + 1.5 * ports + 15.0
+                )
             else:
                 device.attach_load(load_id, lambda w=load[1]: w)
         for child in spec["children"]:

@@ -1,8 +1,6 @@
 """Property-based tests on the control stack: thresholds, RAPL,
 noise processes, and time-series operations."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings

@@ -6,7 +6,6 @@ prevent breaker trips that the surge would otherwise threaten, and must
 not cap at all when the surge never approaches the limits.
 """
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

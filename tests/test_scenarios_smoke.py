@@ -5,8 +5,6 @@ verify the scenario builders wire up correctly and the headline
 behaviour appears, in seconds rather than minutes.
 """
 
-import pytest
-
 from repro.analysis.scenarios import (
     altoona_outage_recovery,
     ashburn_load_test,

@@ -5,7 +5,6 @@ import pytest
 
 from repro.errors import AgentError
 from repro.server.estimator import (
-    PowerEstimator,
     calibrate_from_model,
     fit_linear_power_model,
 )
@@ -184,3 +183,34 @@ class TestServer:
         server = Server("s", HASWELL_2015, ConstantWorkload(5.0))
         server.step(1.0, 1.0)
         assert server.utilization == 1.0
+
+
+class TestEnergyAccounting:
+    def test_energy_integrates_power(self):
+        server = make_server(utilization=0.6)
+        settle_server(server, 100.0)
+        # ~settled power x time (transient makes it slightly lower).
+        assert server.energy_j == pytest.approx(
+            server.power_w() * 100.0, rel=0.05
+        )
+
+    def test_capped_server_uses_less_energy(self):
+        a = make_server("a", utilization=0.9)
+        b = make_server("b", utilization=0.9)
+        b.rapl.set_limit(b.platform.effective_min_cap_w() + 50.0)
+        settle_server(a, 60.0)
+        settle_server(b, 60.0)
+        assert b.energy_j < a.energy_j
+
+    def test_efficiency_metric(self):
+        server = make_server(utilization=0.7)
+        settle_server(server, 60.0)
+        assert server.energy_efficiency() > 0.0
+        fresh = make_server("f")
+        assert fresh.energy_efficiency() == 0.0
+
+    def test_reset_clears_energy(self):
+        server = make_server(utilization=0.5)
+        settle_server(server)
+        server.reset_work_counters()
+        assert server.energy_j == 0.0

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.simulation.clock import Clock
-from repro.simulation.engine import SimulationEngine
 
 
 class TestClock:

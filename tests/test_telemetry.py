@@ -1,6 +1,5 @@
 """Tests for time series, CDFs, samplers, and alerts."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
