@@ -145,7 +145,6 @@ def build_chaos_run(
     end_s: float = 1800.0,
     monitored_device: str = "sb0",
     probe_interval_s: float = 3.0,
-    physics_backend: str = "scalar", control_backend: str = "scalar",
     config: DynamoConfig | None = None,
 ) -> ChaosRun:
     """Wire a chaos experiment: world + Dynamo + orchestrator + probe."""
@@ -156,15 +155,7 @@ def build_chaos_run(
         engine, topology, fleet, config=config,
         rng_streams=rng.fork("dynamo"),
     )
-    driver = FleetDriver(
-        engine,
-        topology,
-        fleet,
-        step_interval_s=1.0,
-        physics_backend=physics_backend,
-    )
-    if control_backend == "vectorized":
-        dynamo.enable_vectorized_control(driver)
+    driver = FleetDriver(engine, topology, fleet, step_interval_s=1.0)
     ctx = ChaosContext(
         engine=engine,
         dynamo=dynamo,
@@ -198,7 +189,7 @@ def build_chaos_run(
 # Named scenarios
 # ---------------------------------------------------------------------------
 
-def sb_outage(seed: int = 7, *, physics_backend: str = "scalar", control_backend: str = "scalar") -> ChaosRun:
+def sb_outage(seed: int = 7) -> ChaosRun:
     """Figure 12 ride-through: outage-recovery surge against the SB."""
     specs = [
         FaultSpec(
@@ -213,14 +204,10 @@ def sb_outage(seed: int = 7, *, physics_backend: str = "scalar", control_backend
         specs,
         seed=seed,
         end_s=1800.0,
-        physics_backend=physics_backend,
-        control_backend=control_backend,
     )
 
 
-def watchdog_restart(
-    seed: int = 7, *, physics_backend: str = "scalar", control_backend: str = "scalar"
-) -> ChaosRun:
+def watchdog_restart(seed: int = 7) -> ChaosRun:
     """A quarter of the agents crash; the watchdog repairs them."""
     # Targets are fixed by position so the schedule itself is static;
     # only fault *consequences* vary with the seed.
@@ -233,14 +220,10 @@ def watchdog_restart(
         specs,
         seed=seed,
         end_s=600.0,
-        physics_backend=physics_backend,
-        control_backend=control_backend,
     )
 
 
-def leaf_controller_crash(
-    seed: int = 7, *, physics_backend: str = "scalar", control_backend: str = "scalar"
-) -> ChaosRun:
+def leaf_controller_crash(seed: int = 7) -> ChaosRun:
     """A leaf controller primary dies; its backup takes over."""
     specs = [
         FaultSpec(
@@ -255,14 +238,10 @@ def leaf_controller_crash(
         specs,
         seed=seed,
         end_s=900.0,
-        physics_backend=physics_backend,
-        control_backend=control_backend,
     )
 
 
-def upper_controller_crash(
-    seed: int = 7, *, physics_backend: str = "scalar", control_backend: str = "scalar"
-) -> ChaosRun:
+def upper_controller_crash(seed: int = 7) -> ChaosRun:
     """The SB-level controller primary dies; its backup takes over."""
     specs = [
         FaultSpec(
@@ -277,12 +256,10 @@ def upper_controller_crash(
         specs,
         seed=seed,
         end_s=900.0,
-        physics_backend=physics_backend,
-        control_backend=control_backend,
     )
 
 
-def rpc_storm(seed: int = 7, *, physics_backend: str = "scalar", control_backend: str = "scalar") -> ChaosRun:
+def rpc_storm(seed: int = 7) -> ChaosRun:
     """Flaky fabric plus a latency spike across every agent endpoint."""
     specs = [
         FaultSpec(
@@ -303,14 +280,10 @@ def rpc_storm(seed: int = 7, *, physics_backend: str = "scalar", control_backend
         specs,
         seed=seed,
         end_s=900.0,
-        physics_backend=physics_backend,
-        control_backend=control_backend,
     )
 
 
-def flaky_fabric_recovery(
-    seed: int = 7, *, physics_backend: str = "scalar", control_backend: str = "scalar"
-) -> ChaosRun:
+def flaky_fabric_recovery(seed: int = 7) -> ChaosRun:
     """Fabric-wide flakiness ramps up to 30%, peaks, and subsides.
 
     Runs the fully *distributed* hierarchy (controller endpoints on the
@@ -335,8 +308,6 @@ def flaky_fabric_recovery(
         specs,
         seed=seed,
         end_s=900.0,
-        physics_backend=physics_backend,
-        control_backend=control_backend,
     )
     # Distribute after wiring so the ctrl: endpoints exist on the fabric
     # before the first injection resolves its endpoint set.
@@ -346,7 +317,7 @@ def flaky_fabric_recovery(
     return run
 
 
-def partition(seed: int = 7, *, physics_backend: str = "scalar", control_backend: str = "scalar") -> ChaosRun:
+def partition(seed: int = 7) -> ChaosRun:
     """Partition >20% of one row's agents: aggregation must abort."""
     engine, topology, fleet, _ = build_surge_world(n_servers=40, seed=seed)
     rpp0_ids = sorted(topology.device("rpp0").load_ids)
@@ -365,18 +336,10 @@ def partition(seed: int = 7, *, physics_backend: str = "scalar", control_backend
         specs,
         seed=seed,
         end_s=900.0,
-        physics_backend=physics_backend,
-        control_backend=control_backend,
     )
 
 
-def _sensor_blackout(
-    fraction: float,
-    seed: int = 7,
-    *,
-    physics_backend: str = "scalar",
-    control_backend: str = "scalar",
-) -> ChaosRun:
+def _sensor_blackout(fraction: float, seed: int = 7) -> ChaosRun:
     """Partition ``fraction`` of one row's agents with estimation on.
 
     The same fault shape as ``partition`` — an rpc partition well past
@@ -416,45 +379,26 @@ def _sensor_blackout(
         specs,
         seed=seed,
         end_s=900.0,
-        physics_backend=physics_backend,
-        control_backend=control_backend,
         config=config,
     )
 
 
-def sensor_blackout_30(
-    seed: int = 7, *, physics_backend: str = "scalar", control_backend: str = "scalar"
-) -> ChaosRun:
+def sensor_blackout_30(seed: int = 7) -> ChaosRun:
     """30% of one row's sensors go dark; estimation carries the cycle."""
-    return _sensor_blackout(
-        0.3, seed,
-        physics_backend=physics_backend, control_backend=control_backend,
-    )
+    return _sensor_blackout(0.3, seed)
 
 
-def sensor_blackout_50(
-    seed: int = 7, *, physics_backend: str = "scalar", control_backend: str = "scalar"
-) -> ChaosRun:
+def sensor_blackout_50(seed: int = 7) -> ChaosRun:
     """Half of one row's sensors go dark; estimation carries the cycle."""
-    return _sensor_blackout(
-        0.5, seed,
-        physics_backend=physics_backend, control_backend=control_backend,
-    )
+    return _sensor_blackout(0.5, seed)
 
 
-def sensor_blackout_70(
-    seed: int = 7, *, physics_backend: str = "scalar", control_backend: str = "scalar"
-) -> ChaosRun:
+def sensor_blackout_70(seed: int = 7) -> ChaosRun:
     """70% dark: below the estimation floor, the leaf must go SAFE."""
-    return _sensor_blackout(
-        0.7, seed,
-        physics_backend=physics_backend, control_backend=control_backend,
-    )
+    return _sensor_blackout(0.7, seed)
 
 
-def price_spike_surge(
-    seed: int = 7, *, physics_backend: str = "scalar", control_backend: str = "scalar"
-) -> ChaosRun:
+def price_spike_surge(seed: int = 7) -> ChaosRun:
     """A power surge lands mid price-spike; breaker safety must win.
 
     The economic governor is shaping bands against an early price spike
@@ -485,8 +429,6 @@ def price_spike_surge(
         specs,
         seed=seed,
         end_s=1800.0,
-        physics_backend=physics_backend,
-        control_backend=control_backend,
         config=config,
     )
     run.extras["governor"] = EconomicGovernor(
@@ -495,9 +437,7 @@ def price_spike_surge(
     return run
 
 
-def breaker_derate(
-    seed: int = 7, *, physics_backend: str = "scalar", control_backend: str = "scalar"
-) -> ChaosRun:
+def breaker_derate(seed: int = 7) -> ChaosRun:
     """The SB rating is derated mid-run; capping pulls load under it."""
     specs = [
         FaultSpec(
@@ -513,8 +453,6 @@ def breaker_derate(
         specs,
         seed=seed,
         end_s=1200.0,
-        physics_backend=physics_backend,
-        control_backend=control_backend,
     )
 
 
@@ -589,9 +527,7 @@ def random_campaign_specs(
     return specs
 
 
-def campaign(
-    seed: int = 7, *, n_faults: int = 6, physics_backend: str = "scalar", control_backend: str = "scalar"
-) -> ChaosRun:
+def campaign(seed: int = 7, *, n_faults: int = 6) -> ChaosRun:
     """A seeded random campaign over the fault catalogue."""
     engine, topology, fleet, rng = build_surge_world(n_servers=40, seed=seed)
     del engine, topology
@@ -603,8 +539,6 @@ def campaign(
         specs,
         seed=seed,
         end_s=1500.0,
-        physics_backend=physics_backend,
-        control_backend=control_backend,
     )
 
 

@@ -19,9 +19,9 @@ Usage::
     python -m repro trace sb0.0 --scenario sb-outage --seed 7
     python -m repro health rpp0 --scenario flaky-fabric-recovery --seed 7
     python -m repro attribute rpp0 --scenario sensor-blackout-50 --seed 7
-    python -m repro profile quickstart --physics-backend vectorized
+    python -m repro profile quickstart
     python -m repro profile sb-outage --top 10
-    python -m repro profile --servers 10080 --physics-backend vectorized
+    python -m repro profile --servers 10080
     python -m repro serve --port 8640
     python -m repro econ price-spike-day --compare
     python -m repro econ carbon-spike-day --hours 10 --seed 3
@@ -49,10 +49,6 @@ import sys
 import time
 
 from repro.analysis.multidc import build_region
-from repro.config import (
-    CONTROL_BACKENDS,
-    PHYSICS_BACKENDS,
-)
 from repro.analysis.scenarios import (
     altoona_outage_recovery,
     ashburn_load_test,
@@ -64,30 +60,18 @@ from repro.units import hours, to_kilowatts
 SCENARIOS = ("quickstart", "ashburn", "altoona", "hadoop", "mixedrow", "cascade")
 
 
-def _quickstart_deployment(
-    seed: int,
-    duration_h: float,
-    physics_backend: str = "scalar",
-    control_backend: str = "scalar",
-):
+def _quickstart_deployment(seed: int, duration_h: float):
     """Build, run, and return the quickstart deployment pieces."""
     from repro.state.worlds import build_quickstart_world
 
-    world = build_quickstart_world(
-        seed=seed,
-        physics_backend=physics_backend,
-        control_backend=control_backend,
-    )
+    world = build_quickstart_world(seed=seed)
     world.run_until(hours(duration_h))
     return world.dynamo, world.driver, world.topology
 
 
 def _run_quickstart(args: argparse.Namespace) -> int:
     dynamo, driver, topology = _quickstart_deployment(
-        args.seed,
-        args.duration_h,
-        args.physics_backend,
-        args.control_backend,
+        args.seed, args.duration_h
     )
     print(
         f"ran {args.duration_h} h: power {to_kilowatts(topology.total_power_w()):.1f} KW, "
@@ -258,18 +242,9 @@ def _run_snapshot(args: argparse.Namespace) -> int:
     registry = SnapshotRegistry()
     if args.snapshot_command == "save":
         if args.scenario == "quickstart":
-            world = build_quickstart_world(
-                seed=args.seed,
-                physics_backend=args.physics_backend,
-                control_backend=args.control_backend,
-            )
+            world = build_quickstart_world(seed=args.seed)
         else:
-            world = build_chaos_world(
-                args.scenario,
-                seed=args.seed,
-                physics_backend=args.physics_backend,
-                control_backend=args.control_backend,
-            )
+            world = build_chaos_world(args.scenario, seed=args.seed)
         world.run_until(args.at)
         snapshot = registry.capture(
             world, include_traces=not args.no_traces
@@ -478,27 +453,16 @@ def _run_profile(args: argparse.Namespace) -> int:
             world = build_sized_world(
                 servers=args.servers,
                 seed=args.seed,
-                physics_backend=args.physics_backend,
-                control_backend=args.control_backend,
                 on_phase=setup.phase_done,
             )
         else:
-            world = build_quickstart_world(
-                seed=args.seed,
-                physics_backend=args.physics_backend,
-                control_backend=args.control_backend,
-            )
+            world = build_quickstart_world(seed=args.seed)
         end_s = hours(args.duration_h)
     else:
         if args.servers is not None:
             print("profile: --servers applies to the quickstart scenario only")
             return 1
-        world = build_chaos_world(
-            args.scenario,
-            seed=args.seed,
-            physics_backend=args.physics_backend,
-            control_backend=args.control_backend,
-        )
+        world = build_chaos_world(args.scenario, seed=args.seed)
         end_s = world.extras["end_s"]
     t0 = time.perf_counter()
     if setup is not None:
@@ -513,8 +477,8 @@ def _run_profile(args: argparse.Namespace) -> int:
     profiler.disable()
     wall_s = time.perf_counter() - t0
     print(
-        f"profiled {args.scenario!r} ({args.physics_backend} backend) "
-        f"to t={world.now_s:.1f}s: wall {wall_s:.3f} s"
+        f"profiled {args.scenario!r} to t={world.now_s:.1f}s: "
+        f"wall {wall_s:.3f} s"
     )
     print()
     phases = [
@@ -543,7 +507,7 @@ def _print_fallback_report(world) -> None:
     Physics: servers stepped individually because a chaos fault knocked
     them off the packed arrays.  Control: endpoint calls served on the
     scalar lane inside a batched broadcast, plus whole-group fallbacks
-    (global fault rates armed).  Silent on fully scalar worlds.
+    (global fault rates armed).  Silent before the first step.
     """
     stepper = world.driver.stepper
     transport = world.dynamo.transport
@@ -640,8 +604,9 @@ def _run_health(args: argparse.Namespace) -> int:
         f"endpoint health ({len(endpoints)} endpoints, "
         f"{len(quarantined)} quarantined):"
     )
+    records = dynamo.endpoint_health()
     for endpoint in sorted(endpoints):
-        stats = dynamo.health.stats(endpoint)
+        stats = records.get(endpoint)
         line = (
             stats.render(now_s)
             if stats is not None
@@ -729,8 +694,6 @@ def _run_econ(args: argparse.Namespace) -> int:
             seed=args.seed,
             governed=governed,
             duration_s=duration_s,
-            physics_backend=args.physics_backend,
-            control_backend=args.control_backend,
         )
         scores.append(build_econ_scorecard(world))
     print(render_econ_scorecard(*scores))
@@ -791,12 +754,7 @@ def _run_serve(args: argparse.Namespace) -> int:
     from repro.serve import ServeApp, ServeServer
     from repro.serve.sessions import SessionManager
 
-    app = ServeApp(
-        SessionManager(
-            max_sessions=args.max_sessions,
-            default_control_backend=args.control_backend,
-        )
-    )
+    app = ServeApp(SessionManager(max_sessions=args.max_sessions))
     server = ServeServer(app, host=args.host, port=args.port)
     print(
         f"serving on http://{args.host}:{args.port} "
@@ -837,19 +795,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-dynamo",
         action="store_true",
         help="cascade scenario only: run without Dynamo",
-    )
-    run.add_argument(
-        "--physics-backend",
-        default="scalar",
-        choices=PHYSICS_BACKENDS,
-        help="quickstart scenario only: fleet physics implementation",
-    )
-    run.add_argument(
-        "--control-backend",
-        default="scalar",
-        choices=CONTROL_BACKENDS,
-        help="quickstart scenario only: control-plane dispatch "
-        "(vectorized requires --physics-backend vectorized)",
     )
     chaos = sub.add_parser("chaos", help="fault-injection scenarios")
     chaos_sub = chaos.add_subparsers(dest="chaos_command", required=True)
@@ -897,18 +842,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--at", type=float, default=60.0, help="capture time (sim seconds)"
     )
     snap_save.add_argument("--out", required=True, help="snapshot file path")
-    snap_save.add_argument(
-        "--physics-backend",
-        default="scalar",
-        choices=PHYSICS_BACKENDS,
-        help="fleet physics implementation baked into the recipe",
-    )
-    snap_save.add_argument(
-        "--control-backend",
-        default="scalar",
-        choices=CONTROL_BACKENDS,
-        help="control-plane dispatch baked into the recipe",
-    )
     snap_save.add_argument(
         "--no-traces",
         action="store_true",
@@ -988,18 +921,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="quickstart scenario only: simulated duration",
     )
     profile.add_argument(
-        "--physics-backend",
-        default="scalar",
-        choices=PHYSICS_BACKENDS,
-        help="fleet physics implementation to profile",
-    )
-    profile.add_argument(
-        "--control-backend",
-        default="scalar",
-        choices=CONTROL_BACKENDS,
-        help="control-plane dispatch to profile",
-    )
-    profile.add_argument(
         "--servers",
         type=int,
         default=None,
@@ -1075,18 +996,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run governed and price-blind on the same seed and render "
         "both columns plus the savings delta",
     )
-    econ.add_argument(
-        "--physics-backend",
-        default="scalar",
-        choices=PHYSICS_BACKENDS,
-        help="fleet physics implementation",
-    )
-    econ.add_argument(
-        "--control-backend",
-        default="scalar",
-        choices=CONTROL_BACKENDS,
-        help="control-plane dispatch",
-    )
     signals = sub.add_parser(
         "signals",
         help="summarize a price/carbon series (or 'list' to enumerate)",
@@ -1124,13 +1033,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=64,
         help="concurrent session cap (create returns 409 beyond it)",
-    )
-    serve.add_argument(
-        "--control-backend",
-        default="scalar",
-        choices=CONTROL_BACKENDS,
-        help="default control-plane dispatch for scenario sessions "
-        "whose spec omits control_backend",
     )
     return parser
 

@@ -382,9 +382,6 @@ class AgentConfig:
 #: Physics backends the fleet driver can step servers with.
 PHYSICS_BACKENDS = ("scalar", "vectorized")
 
-#: Control-plane backends (agent sensing and RAPL actuation).
-CONTROL_BACKENDS = ("scalar", "vectorized")
-
 
 @dataclass(frozen=True)
 class FleetConfig:

@@ -261,6 +261,14 @@ class AgentBatch:
         window.extend([True] * min(pending, window.maxlen or pending))
         transport.health.backfill_successes(endpoint, pending)
 
+    def pending_successes(self) -> dict[str, int]:
+        """Fast-lane successes not yet materialized, by endpoint."""
+        counts = self.fast_successes.tolist()
+        return {
+            endpoint: counts[row]
+            for endpoint, row in self.row_for_endpoint.items()
+        }
+
     # ------------------------------------------------------------------
     # Snapshot support
     # ------------------------------------------------------------------

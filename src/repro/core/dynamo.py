@@ -20,7 +20,7 @@ from repro.core.hierarchy import (
     ControllerHierarchy,
     build_controller_hierarchy,
 )
-from repro.core.health import HealthRegistry
+from repro.core.health import EndpointHealth, HealthRegistry
 from repro.core.leaf_controller import LeafPowerController
 from repro.core.upper_controller import UpperLevelPowerController
 from repro.core.priority import PriorityPolicy
@@ -94,8 +94,9 @@ class Dynamo:
             server_id: DynamoAgent(server, self.transport, clock=engine.clock)
             for server_id, server in fleet.servers.items()
         }
-        #: The batched control plane (``enable_vectorized_control``);
-        #: None while the deployment runs the scalar reference path.
+        #: The batched control plane, attached by :meth:`start` when the
+        #: fleet has a vectorized stepper; None on the per-object
+        #: reference.
         self.agent_batch: AgentBatch | None = None
         #: The economic governor, when one is attached
         #: (:class:`~repro.economics.governor.EconomicGovernor` sets
@@ -132,7 +133,14 @@ class Dynamo:
     # ------------------------------------------------------------------
 
     def start(self) -> None:
-        """Start all controller cycles and the watchdog."""
+        """Start all controller cycles and the watchdog.
+
+        A fleet stepped by the vectorized stepper gets the batched
+        control plane here (see :meth:`enable_vectorized_control`), so
+        every deployment built on it runs the array lane.
+        """
+        if self.fleet.stepper is not None:
+            self._attach_batch(self.fleet.stepper)
         self.coordinator.start()
         self.watchdog.start(phase=self.config.agent.watchdog_interval_s)
 
@@ -146,17 +154,17 @@ class Dynamo:
     # ------------------------------------------------------------------
 
     def enable_vectorized_control(self, driver) -> AgentBatch:
-        """Switch the control plane onto the batched fast path.
+        """Put the control plane on the batched fast path now.
 
+        :meth:`start` does this for any fleet with a vectorized stepper;
+        calling it earlier only moves the cost ahead of the start.
         Packs per-agent state into an :class:`AgentBatch` aligned with
         the fleet driver's vectorized stepper, attaches it to the raw
         transport (enabling the group broadcast dispatch) and to every
         leaf controller instance, including both halves of failover
-        pairs.  Idempotent per deployment; requires
-        ``physics_backend="vectorized"``.
+        pairs.  Idempotent per deployment.  A driver without a stepper
+        (the per-object reference) is refused.
         """
-        if self.agent_batch is not None:
-            return self.agent_batch
         stepper = getattr(driver, "stepper", None)
         if stepper is None:
             from repro.errors import ConfigurationError
@@ -165,6 +173,11 @@ class Dynamo:
                 "vectorized control requires the vectorized physics "
                 "backend (no stepper on this fleet driver)"
             )
+        return self._attach_batch(stepper)
+
+    def _attach_batch(self, stepper) -> AgentBatch:
+        if self.agent_batch is not None:
+            return self.agent_batch
         batch = AgentBatch(
             self.agents,
             stepper,
@@ -244,6 +257,19 @@ class Dynamo:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
+
+    def endpoint_health(self) -> dict[str, EndpointHealth]:
+        """Every called endpoint's health record, in endpoint order.
+
+        Successes served on the batched fast lane wait in
+        ``AgentBatch.fast_successes`` until their endpoint leaves that
+        lane.  They are folded into copies of the records here rather
+        than materialized, so reading health never changes the state a
+        snapshot captures.
+        """
+        batch = self.agent_batch
+        pending = {} if batch is None else batch.pending_successes()
+        return self.health.with_pending(pending)
 
     def controller(self, device_name: str):
         """The controller protecting one device."""

@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass, field, replace
 
 from repro.config import OperatingModeConfig
 from repro.telemetry.alerts import AlertSink, Severity
@@ -131,6 +132,12 @@ class EndpointHealth:
         )
 
 
+def _count_successes(stats: EndpointHealth, count: int) -> None:
+    stats.attempts += count
+    stats.successes += count
+    stats.consecutive_failures = 0
+
+
 class HealthRegistry:
     """Per-endpoint health fed by the resilient transport.
 
@@ -199,10 +206,24 @@ class HealthRegistry:
         Latency samples and the last-success timestamp are
         diagnostics-only and are not backfilled.
         """
-        stats = self._stats(endpoint)
-        stats.attempts += count
-        stats.successes += count
-        stats.consecutive_failures = 0
+        _count_successes(self._stats(endpoint), count)
+
+    def with_pending(
+        self, pending: Mapping[str, int]
+    ) -> dict[str, EndpointHealth]:
+        """Every record, with ``pending`` fast-lane successes folded in.
+
+        Endpoints with a nonzero count get a copy of their record
+        accounted as :meth:`backfill_successes` would; the registry
+        itself is left untouched.  Sorted by endpoint.
+        """
+        records = dict(self._endpoints)
+        for endpoint, count in pending.items():
+            if count:
+                base = records.get(endpoint) or EndpointHealth(endpoint)
+                records[endpoint] = folded = replace(base)
+                _count_successes(folded, count)
+        return dict(sorted(records.items()))
 
     def record_retry(self, endpoint: str, backoff_s: float) -> None:
         """Account one retry attempt and its backoff delay."""

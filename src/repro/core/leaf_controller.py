@@ -34,7 +34,6 @@ exists, estimated otherwise, exactly as the paper prescribes.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -66,15 +65,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class BatchedSense:
-    """One cycle's sensed powers in packed form (vectorized control).
+    """One cycle's sensed powers in packed form.
 
-    Stands in for the scalar ``list[PowerReading]`` between sense and
-    actuate: ``values``/``success_mask`` hold per-position sensed powers
-    (position = index into the controller's ``server_ids``), while
-    stale-cache hits and estimated readings stay materialized (they are
-    few).  :meth:`readings` materializes the full scalar list — in the
-    scalar reference order: successes by broadcast position, then stale,
-    then estimated — which actuation's capping planner consumes.
+    What sense hands to aggregate and actuate: ``values``/``success_mask``
+    hold per-position sensed powers (position = index into the
+    controller's ``server_ids``), while stale-cache hits and estimated
+    readings stay materialized (they are few).  Readings that arrived
+    through a per-call RPC (no batch attached, or an endpoint off the
+    batched fast lane) are kept as received in ``scalar_readings``.
+    :meth:`readings` materializes the full list — successes by broadcast
+    position, then stale, then estimated — which actuation's capping
+    planner consumes.
     """
 
     __slots__ = (
@@ -106,11 +107,11 @@ class BatchedSense:
         self.estimated = estimated
 
     def total_power_w(self) -> float:
-        """Sum of all sensed powers, bitwise-equal to the scalar ``seq_sum``.
+        """Sum of all sensed powers, bitwise-equal to ``seq_sum``.
 
-        Left-to-right accumulation over the scalar reference order via
-        cumsum (seeded implicitly at 0.0: ``0.0 + x == x`` for the
-        non-negative powers involved).
+        Left-to-right accumulation in :meth:`readings` order via cumsum
+        (seeded implicitly at 0.0: ``0.0 + x == x`` for the non-negative
+        powers involved).
         """
         parts = np.concatenate(
             (
@@ -124,7 +125,7 @@ class BatchedSense:
         return float(np.cumsum(parts)[-1])
 
     def readings(self) -> list[PowerReading]:
-        """Materialize the scalar reading list (the aggregation boundary)."""
+        """Materialize the reading list (the capping planner's input)."""
         controller = self.controller
         out: list[PowerReading] = []
         for p in np.flatnonzero(self.success_mask):
@@ -167,7 +168,7 @@ class NonServerComponent:
         return self.estimate_w
 
 
-class LeafPowerController(BaseController[list[PowerReading]]):
+class LeafPowerController(BaseController[BatchedSense]):
     """Monitors and protects one leaf power device."""
 
     KIND = "leaf"
@@ -194,14 +195,9 @@ class LeafPowerController(BaseController[list[PowerReading]]):
         self._bucket = bucket or BucketConfig()
         self.policy = policy or PriorityPolicy()
         self._endpoint_prefix = endpoint_prefix
-        # Broadcast endpoints are rebuilt only when membership changes;
-        # the per-pull sense buffers are reused across cycles (readings
-        # never outlive a tick — see BaseController.control_cycle).
+        # Broadcast endpoints are rebuilt only when membership changes.
         self._endpoint_cache: list[str] = []
         self._endpoint_cache_key: tuple[str, ...] | None = None
-        self._readings_buf: list[PowerReading] = []
-        self._by_service_buf: defaultdict[str, list[float]] = defaultdict(list)
-        self._last_readings: dict[str, PowerReading] = {}
         self._capped_servers: dict[str, float] = {}
         self._fail_safe_engaged = False
         # Disaggregation estimator (degraded-sensing subsystem).  Public
@@ -217,67 +213,59 @@ class LeafPowerController(BaseController[list[PowerReading]]):
         # cycles, so aggregate() can report the signed estimation error
         # against the simulated ground truth.
         self._cycle_metered_w = 0.0
-        # The most recent successful sense result (scalar list or
-        # BatchedSense), for per-service attribution of the last cycle
-        # including stale and disaggregated readings.
-        self._last_sensed: "list[PowerReading] | BatchedSense | None" = None
+        # The most recent successful sense result, for per-service
+        # attribution of the last cycle including stale and
+        # disaggregated readings.
+        self._last_sensed: BatchedSense | None = None
         self._components: list[NonServerComponent] = []
         self._actuation_successes = 0
         self._actuation_failures = 0
         self.capped_count_series = TimeSeries(f"{device.name}.capped")
-        # Vectorized control plane (attach_control_batch); when attached
-        # the last-known-good reading cache lives in per-position arrays
-        # instead of _last_readings, for both the batched fast path and
-        # the whole-group fallback, so the two lanes share one cache.
+        # The batched control plane (attach_control_batch); None in unit
+        # tests and the per-object reference, where sense broadcasts.
         self._batch: "AgentBatch | None" = None
-        self._pos_service: list[str] = []
-        self._pos_of_server: dict[str, int] = {}
-        self._svc_codes: np.ndarray | None = None
-        self._svc_code_of: dict[str, int] = {}
-        self._last_power: np.ndarray | None = None
-        self._last_time: np.ndarray | None = None
-        self._last_est: np.ndarray | None = None
-        self._last_has: np.ndarray | None = None
-
-    def attach_control_batch(self, batch: "AgentBatch") -> None:
-        """Switch this controller's sense/actuate onto the batch path.
-
-        Positions are indices into ``server_ids`` (= broadcast endpoint
-        order).  Any existing last-known-good readings are migrated into
-        the position-aligned cache arrays.
-        """
-        self._batch = batch
+        # The last-known-good reading cache and each position's service,
+        # in arrays aligned with server_ids (position = broadcast order).
+        # A service code of -1 means not yet known: the batch supplies
+        # every service, otherwise a position's first reading does.
         n = len(self.server_ids)
         self._pos_of_server = {
             server_id: p for p, server_id in enumerate(self.server_ids)
         }
-        self._pos_service = [
-            batch.services[batch.row_for_server_id[server_id]]
-            for server_id in self.server_ids
-        ]
-        code_of: dict[str, int] = {}
-        codes = np.empty(n, dtype=np.int64)
-        for p, service in enumerate(self._pos_service):
-            codes[p] = code_of.setdefault(service, len(code_of))
-        self._svc_codes = codes
-        self._svc_code_of = code_of
+        self._pos_service: list[str] = ["unknown"] * n
+        self._svc_codes = np.full(n, -1, dtype=np.int64)
+        self._svc_code_of: dict[str, int] = {}
         self._last_power = np.zeros(n)
         self._last_time = np.zeros(n)
         self._last_est = np.zeros(n, dtype=bool)
         self._last_has = np.zeros(n, dtype=bool)
-        self._seed_last_cache()
 
-    def _seed_last_cache(self) -> None:
-        """Migrate the dict reading cache into the position arrays."""
-        for server_id, reading in self._last_readings.items():
-            p = self._pos_of_server.get(server_id)
-            if p is None:
-                continue
-            self._last_power[p] = reading.power_w
-            self._last_time[p] = reading.time_s
-            self._last_est[p] = reading.estimated
-            self._last_has[p] = True
-        self._last_readings = {}
+    def attach_control_batch(self, batch: "AgentBatch") -> None:
+        """Sense and actuate through the batch's group entry points.
+
+        The batch knows every server's service, so each position's
+        service is recorded now rather than from its first reading.
+        """
+        self._batch = batch
+        self._pos_service = [
+            batch.services[batch.row_for_server_id[server_id]]
+            for server_id in self.server_ids
+        ]
+        code_of = self._svc_code_of
+        self._svc_codes = np.array(
+            [
+                code_of.setdefault(service, len(code_of))
+                for service in self._pos_service
+            ],
+            dtype=np.int64,
+        )
+
+    def _record_service(self, p: int, service: str) -> None:
+        """Record the service running at position ``p``."""
+        self._pos_service[p] = service
+        self._svc_codes[p] = self._svc_code_of.setdefault(
+            service, len(self._svc_code_of)
+        )
 
     def _cached_reading(self, p: int, *, stale: bool = False) -> PowerReading:
         """Materialize the cached reading at position ``p``.
@@ -337,244 +325,30 @@ class LeafPowerController(BaseController[list[PowerReading]]):
     # Stage 1: power pulling with failure estimation
     # ------------------------------------------------------------------
 
-    def sense(
-        self, now_s: float, trace: TraceBuilder
-    ) -> list[PowerReading] | None:
+    def sense(self, now_s: float, trace: TraceBuilder) -> BatchedSense | None:
         """Pull every agent; cache/estimate failures; None when >20% failed.
 
-        A failed pull is served from the last-known-good reading cache
-        when that reading is at most ``reading_cache_ttl_s`` old (a real
-        measurement, merely stale, beats neighbour estimation); expired
-        or absent entries fall through to estimation.  Only pulls the
-        cache could not resolve count against the paper's 20%
-        invalid-aggregation rule.
+        With a batch attached the pull is one group read (per-call RPC
+        only for endpoints off the fast lane); otherwise, or when the
+        whole group falls back (e.g. global fault rates armed), it is a
+        sequential broadcast.  A failed pull is served from the
+        last-known-good reading cache when that reading is at most
+        ``reading_cache_ttl_s`` old (a real measurement, merely stale,
+        beats neighbour estimation); expired or absent entries fall
+        through to estimation.  Only pulls the cache could not resolve
+        count against the paper's 20% invalid-aggregation rule.
         """
+        group = None
         if self._batch is not None:
-            group = None
             group_read = getattr(self._transport, "group_read_power", None)
             if group_read is not None:
                 group = group_read(self._endpoints())
-            if group is None:
-                # Whole-group fallback (e.g. global fault rates armed):
-                # sequential broadcast, but bookkeeping still flows
-                # through the shared position-array cache.
-                results, failures = self._transport.broadcast(
-                    self._endpoints(), "read_power", None
-                )
-                return self._sense_batched(
-                    results, failures, None, now_s, trace
-                )
-            return self._sense_batched(
-                group.results, group.failures, group, now_s, trace
+        if group is None:
+            results, failures = self._transport.broadcast(
+                self._endpoints(), "read_power", None
             )
-        results, failures = self._transport.broadcast(
-            self._endpoints(), "read_power", None
-        )
-        trace.pulls_attempted = len(self.server_ids)
-        trace.pulls_failed = len(failures)
-        ttl = self.config.reading_cache_ttl_s
-        stale_served: list[PowerReading] = []
-        unresolved: list[str] = []
-        for endpoint in failures:
-            server_id = endpoint[len(self._endpoint_prefix):]
-            last = self._last_readings.get(server_id)
-            if ttl > 0.0 and last is not None and now_s - last.time_s <= ttl:
-                stale_served.append(replace(last, stale=True))
-            else:
-                unresolved.append(server_id)
-        trace.pulls_stale = len(stale_served)
-        n = len(self.server_ids)
-        if n:
-            trace.coverage_fraction = 1.0 - len(unresolved) / n
-        if n and len(unresolved) / n > self.config.max_reading_failure_fraction:
-            if not self._can_disaggregate(trace.coverage_fraction):
-                self._raise_aggregation_invalid(now_s, len(unresolved))
-                return None
-            return self._sense_disaggregated(
-                results, stale_served, unresolved, now_s, trace
-            )
-        readings = self._readings_buf
-        readings.clear()
-        by_service_power = self._by_service_buf
-        for values in by_service_power.values():
-            values.clear()
-        for endpoint, reading in results.items():
-            readings.append(reading)
-            self._last_readings[reading.server_id] = reading
-            by_service_power[reading.service].append(reading.power_w)
-        if self.estimator is not None:
-            # Healthy (or merely below-threshold) cycle: fit the
-            # per-service models from the live measurements so they are
-            # ready the moment sensing collapses.  Reads values only —
-            # no RNG, no reading mutation — so enabling estimation
-            # leaves healthy cycles bit-identical.
-            self.estimator.observe_cycle(
-                (r.server_id, r.power_w, r.service) for r in readings
-            )
-        readings.extend(stale_served)
-        for server_id in unresolved:
-            readings.append(
-                self._estimate_failed_reading(server_id, by_service_power, now_s)
-            )
-        trace.pulls_estimated = len(unresolved)
-        self._last_sensed = readings
-        return readings
-
-    def last_cycle_readings(self) -> list[PowerReading]:
-        """The latest cycle's full reading set, any provenance.
-
-        Measured, stale-served, and estimated/disaggregated readings
-        alike — the attribution CLI's input.  Falls back to the
-        last-known-good cache before the first successful cycle.
-        """
-        sensed = self._last_sensed
-        if sensed is None:
-            return [reading for _, reading in self._iter_last_readings()]
-        if isinstance(sensed, BatchedSense):
-            return sensed.readings()
-        return list(sensed)
-
-    def _can_disaggregate(self, coverage_fraction: float) -> bool:
-        """Whether the estimator can carry this over-threshold cycle."""
-        return (
-            self.estimator is not None
-            and coverage_fraction >= self.config.estimation.safe_coverage
-        )
-
-    def _raise_aggregation_invalid(self, now_s: float, unresolved: int) -> None:
-        """The paper's abort-and-alert rule (shared by both sense lanes)."""
-        self.alerts.raise_alert(
-            now_s,
-            Severity.CRITICAL,
-            self.name,
-            f"power aggregation invalid: {unresolved}/"
-            f"{len(self.server_ids)} pulls failed; human intervention "
-            "required",
-        )
-
-    def _sense_disaggregated(
-        self,
-        results: dict[str, PowerReading],
-        stale_served: list[PowerReading],
-        unresolved: list[str],
-        now_s: float,
-        trace: TraceBuilder,
-    ) -> list[PowerReading]:
-        """Over-threshold cycle carried by the disaggregation estimator.
-
-        Live measurements are consumed as usual (and still train the
-        models); stale-cache hits get an age-decayed confidence; the
-        dark remainder is reconstructed by distributing the
-        device-metering residual across dark servers in proportion to
-        the fitted models (:meth:`PowerDisaggregator.disaggregate`).
-        The estimates sum to the residual by construction, so the
-        un-inflated aggregate tracks the metered total.
-        """
-        estimator = self.estimator
-        assert estimator is not None
-        readings = self._readings_buf
-        readings.clear()
-        measured_sum = 0.0
-        for reading in results.values():
-            readings.append(reading)
-            self._last_readings[reading.server_id] = reading
-            measured_sum += reading.power_w
-        estimator.observe_cycle(
-            (r.server_id, r.power_w, r.service) for r in readings
-        )
-        ttl = self.config.reading_cache_ttl_s
-        for reading in stale_served:
-            reading = replace(
-                reading,
-                confidence=estimator.stale_confidence(
-                    now_s - reading.time_s, ttl
-                ),
-            )
-            readings.append(reading)
-            measured_sum += reading.power_w
-        dark: list[tuple[str, str]] = []
-        for server_id in unresolved:
-            last = self._last_readings.get(server_id)
-            service = last.service if last is not None else "unknown"
-            dark.append((server_id, service))
-        residual_w, metered_w = self._metering_residual_w(measured_sum)
-        for estimate in estimator.disaggregate(residual_w, dark):
-            readings.append(
-                PowerReading(
-                    server_id=estimate.server_id,
-                    power_w=estimate.power_w,
-                    estimated=True,
-                    service=estimate.service,
-                    time_s=now_s,
-                    confidence=estimate.confidence,
-                )
-            )
-        trace.pulls_estimated = len(unresolved)
-        trace.disaggregated = len(unresolved)
-        self._cycle_metered_w = metered_w
-        self._last_sensed = readings
-        return readings
-
-    def _metering_residual_w(self, measured_sum: float) -> tuple[float, float]:
-        """(residual to distribute over dark servers, metered device total).
-
-        The residual is the device/breaker metering minus fixed overhead,
-        monitored components, and every measured or stale-served server —
-        i.e. exactly the dark servers' combined draw in the simulated
-        world.  Clamped at zero: metering drift must never produce
-        negative server estimates.
-        """
-        metered_w = self.device.power_w()
-        residual_w = (
-            metered_w
-            - self.device.fixed_overhead_w
-            - seq_sum(c.power_w() for c in self._components)
-            - measured_sum
-        )
-        return max(residual_w, 0.0), metered_w
-
-    def _estimate_failed_reading(
-        self,
-        server_id: str,
-        by_service_power: dict[str, list[float]],
-        now_s: float,
-    ) -> PowerReading:
-        last = self._last_readings.get(server_id)
-        service = last.service if last is not None else "unknown"
-        neighbours = by_service_power.get(service, [])
-        if neighbours:
-            # Estimate from neighbouring servers running similar
-            # workloads, the paper's primary fallback.
-            power = seq_sum(neighbours) / len(neighbours)
-        elif last is not None:
-            power = last.power_w
         else:
-            # No metadata at all: a conservative generic server draw.
-            power = 200.0
-        return PowerReading(
-            server_id=server_id,
-            power_w=power,
-            estimated=True,
-            service=service,
-            time_s=now_s,
-        )
-
-    def _sense_batched(
-        self,
-        results: dict[str, Any],
-        failures: dict[str, Exception],
-        group: Any,
-        now_s: float,
-        trace: TraceBuilder,
-    ) -> "BatchedSense | None":
-        """Batch-path sense: same decisions, position arrays as the cache.
-
-        ``group`` is the transport's GroupReadResult (fast-lane powers in
-        packed form), or None when the whole group fell back to the
-        sequential broadcast — scalar-lane readings then arrive via
-        ``results``/``failures`` only.  Every branch mirrors the scalar
-        :meth:`sense` decision-for-decision.
-        """
+            results, failures = group.results, group.failures
         n = len(self.server_ids)
         trace.pulls_attempted = n
         trace.pulls_failed = len(failures)
@@ -612,6 +386,8 @@ class LeafPowerController(BaseController[list[PowerReading]]):
         scalar_readings: dict[int, PowerReading] = {}
         for reading in results.values():
             p = self._pos_of_server[reading.server_id]
+            if self._svc_codes[p] < 0:
+                self._record_service(p, reading.service)
             values[p] = reading.power_w
             success[p] = True
             scalar_readings[p] = reading
@@ -626,8 +402,12 @@ class LeafPowerController(BaseController[list[PowerReading]]):
             self._last_est[fast] = False
             self._last_has[fast] = True
         if self.estimator is not None:
-            # Same model fit as the scalar lane: measured successes in
-            # broadcast position order (== the scalar results order).
+            # Healthy (or merely below-threshold) cycle: fit the
+            # per-service models from the live measurements, in broadcast
+            # position order, so they are ready the moment sensing
+            # collapses.  Reads values only — no RNG, no reading
+            # mutation — so enabling estimation leaves healthy cycles
+            # bit-identical.
             self.estimator.observe_cycle(
                 (
                     self.server_ids[p],
@@ -637,12 +417,12 @@ class LeafPowerController(BaseController[list[PowerReading]]):
                 for p in map(int, np.flatnonzero(success))
             )
         if over_threshold:
-            stale_served, estimated = self._disaggregate_batched(
+            stale_served, estimated = self._disaggregate(
                 values, success, stale_served, unresolved, now_s, trace
             )
         else:
             estimated = [
-                self._estimate_failed_position(p, values, success, now_s)
+                self._estimate_failed(p, values, success, now_s)
                 for p in unresolved
             ]
             trace.pulls_estimated = len(unresolved)
@@ -653,7 +433,36 @@ class LeafPowerController(BaseController[list[PowerReading]]):
         self._last_sensed = sensed
         return sensed
 
-    def _disaggregate_batched(
+    def last_cycle_readings(self) -> list[PowerReading]:
+        """The latest cycle's full reading set, any provenance.
+
+        Measured, stale-served, and estimated/disaggregated readings
+        alike — the attribution CLI's input.  Falls back to the
+        last-known-good cache before the first successful cycle.
+        """
+        if self._last_sensed is None:
+            return [reading for _, reading in self._iter_last_readings()]
+        return self._last_sensed.readings()
+
+    def _can_disaggregate(self, coverage_fraction: float) -> bool:
+        """Whether the estimator can carry this over-threshold cycle."""
+        return (
+            self.estimator is not None
+            and coverage_fraction >= self.config.estimation.safe_coverage
+        )
+
+    def _raise_aggregation_invalid(self, now_s: float, unresolved: int) -> None:
+        """The paper's abort-and-alert rule."""
+        self.alerts.raise_alert(
+            now_s,
+            Severity.CRITICAL,
+            self.name,
+            f"power aggregation invalid: {unresolved}/"
+            f"{len(self.server_ids)} pulls failed; human intervention "
+            "required",
+        )
+
+    def _disaggregate(
         self,
         values: np.ndarray,
         success: np.ndarray,
@@ -662,12 +471,17 @@ class LeafPowerController(BaseController[list[PowerReading]]):
         now_s: float,
         trace: TraceBuilder,
     ) -> tuple[list[PowerReading], list[PowerReading]]:
-        """Array-cache twin of :meth:`_sense_disaggregated`.
+        """Over-threshold cycle carried by the disaggregation estimator.
 
-        The measured sum is a left-to-right cumsum over successes in
-        broadcast position order followed by the stale-served readings
-        — bitwise-equal to the scalar lane's running sum — so both
-        control backends hand the estimator the identical residual.
+        Live measurements were consumed as usual (and still trained the
+        models); stale-cache hits get an age-decayed confidence; the
+        dark remainder is reconstructed by distributing the
+        device-metering residual across dark servers in proportion to
+        the fitted models (:meth:`PowerDisaggregator.disaggregate`).
+        The estimates sum to the residual by construction, so the
+        un-inflated aggregate tracks the metered total.  The measured
+        sum is a left-to-right cumsum over successes in broadcast
+        position order followed by the stale-served readings.
         """
         estimator = self.estimator
         assert estimator is not None
@@ -709,18 +523,39 @@ class LeafPowerController(BaseController[list[PowerReading]]):
         self._cycle_metered_w = metered_w
         return stale_out, estimated
 
-    def _estimate_failed_position(
+    def _metering_residual_w(self, measured_sum: float) -> tuple[float, float]:
+        """(residual to distribute over dark servers, metered device total).
+
+        The residual is the device/breaker metering minus fixed overhead,
+        monitored components, and every measured or stale-served server —
+        i.e. exactly the dark servers' combined draw in the simulated
+        world.  Clamped at zero: metering drift must never produce
+        negative server estimates.
+        """
+        metered_w = self.device.power_w()
+        residual_w = (
+            metered_w
+            - self.device.fixed_overhead_w
+            - seq_sum(c.power_w() for c in self._components)
+            - measured_sum
+        )
+        return max(residual_w, 0.0), metered_w
+
+    def _estimate_failed(
         self,
         p: int,
         values: np.ndarray,
         success: np.ndarray,
         now_s: float,
     ) -> PowerReading:
-        """Array-cache twin of :meth:`_estimate_failed_reading`.
+        """Estimate one unresolved pull.
 
-        The neighbour mean is a left-to-right cumsum over successes in
-        broadcast position order divided by the count — bitwise-equal to
-        the scalar ``seq_sum(list) / len(list)``.
+        From neighbouring servers running the same service (the paper's
+        primary fallback), else the last known reading, else a
+        conservative generic 200 W draw.  The neighbour mean is a
+        left-to-right cumsum over successes in broadcast position order
+        divided by the count, bitwise-equal to ``seq_sum(list) /
+        len(list)``.
         """
         has_last = bool(self._last_has[p])
         service = self._pos_service[p] if has_last else "unknown"
@@ -748,7 +583,7 @@ class LeafPowerController(BaseController[list[PowerReading]]):
     # ------------------------------------------------------------------
 
     def aggregate(
-        self, sensed: list[PowerReading], now_s: float, trace: TraceBuilder
+        self, sensed: BatchedSense, now_s: float, trace: TraceBuilder
     ) -> float:
         """Sum server readings, fixed overhead, and component draws.
 
@@ -760,23 +595,13 @@ class LeafPowerController(BaseController[list[PowerReading]]):
         and the metered ground truth lands in the trace so campaigns can
         report the margin.
         """
-        if isinstance(sensed, BatchedSense):
-            aggregate = sensed.total_power_w() + self.device.fixed_overhead_w
-        else:
-            aggregate = (
-                seq_sum(r.power_w for r in sensed)
-                + self.device.fixed_overhead_w
-            )
+        aggregate = sensed.total_power_w() + self.device.fixed_overhead_w
         components_w = seq_sum(c.power_w() for c in self._components)
         aggregate += components_w
         if trace.disaggregated:
-            uncertain = (
-                sensed.stale_served + sensed.estimated
-                if isinstance(sensed, BatchedSense)
-                else sensed
-            )
             aggregate += uncertainty_margin_w(
-                uncertain, self.config.estimation.uncertainty_inflation
+                sensed.stale_served + sensed.estimated,
+                self.config.estimation.uncertainty_inflation
             )
             trace.estimation_error_w = aggregate - (
                 self._cycle_metered_w + components_w
@@ -790,7 +615,7 @@ class LeafPowerController(BaseController[list[PowerReading]]):
     def actuate(
         self,
         decision: BandDecision,
-        sensed: list[PowerReading],
+        sensed: BatchedSense,
         now_s: float,
         trace: TraceBuilder,
     ) -> None:
@@ -798,13 +623,8 @@ class LeafPowerController(BaseController[list[PowerReading]]):
         self._actuation_successes = 0
         self._actuation_failures = 0
         if decision.action is BandAction.CAP:
-            readings = (
-                sensed.readings()
-                if isinstance(sensed, BatchedSense)
-                else sensed
-            )
             plan = build_capping_plan(
-                readings,
+                sensed.readings(),
                 decision.total_power_cut_w,
                 self.policy,
                 bucket=self._bucket,
@@ -993,13 +813,10 @@ class LeafPowerController(BaseController[list[PowerReading]]):
     def _iter_last_readings(self):
         """Cached readings as (server_id, PowerReading) pairs.
 
-        In batch mode the cache lives in position arrays; materialized
-        in server-id order (snapshot serialization sorts keys, so the
-        on-disk form is order-independent either way).
+        Materialized from the position arrays in broadcast order
+        (snapshot serialization sorts keys, so the on-disk form is
+        order-independent).
         """
-        if self._batch is None:
-            yield from self._last_readings.items()
-            return
         for p in np.flatnonzero(self._last_has):
             p = int(p)
             yield self.server_ids[p], self._cached_reading(p)
@@ -1040,30 +857,26 @@ class LeafPowerController(BaseController[list[PowerReading]]):
         return state
 
     def restore_state(self, state: dict) -> None:
-        """Restore template state plus leaf-local caches in place."""
-        from repro.server.sensor import PowerBreakdown
+        """Restore template state plus leaf-local caches in place.
 
+        Breakdowns are not read back: a cached reading's breakdown is a
+        function of its total (see :meth:`_cached_reading`).
+        """
         super().restore_state(state)
-        self._last_readings = {}
+        self._last_has[:] = False
+        self._last_est[:] = False
+        self._last_power[:] = 0.0
+        self._last_time[:] = 0.0
         for server_id, r in state["last_readings"].items():
-            breakdown = None
-            if r["breakdown"] is not None:
-                breakdown = PowerBreakdown(
-                    total_w=float(r["breakdown"]["total_w"]),
-                    cpu_w=float(r["breakdown"]["cpu_w"]),
-                    memory_w=float(r["breakdown"]["memory_w"]),
-                    other_w=float(r["breakdown"]["other_w"]),
-                    ac_dc_loss_w=float(r["breakdown"]["ac_dc_loss_w"]),
-                )
-            self._last_readings[server_id] = PowerReading(
-                server_id=r["server_id"],
-                power_w=float(r["power_w"]),
-                estimated=bool(r["estimated"]),
-                service=r["service"],
-                time_s=float(r["time_s"]),
-                breakdown=breakdown,
-                stale=bool(r["stale"]),
-            )
+            p = self._pos_of_server.get(server_id)
+            if p is None:
+                continue
+            if self._svc_codes[p] < 0:
+                self._record_service(p, r["service"])
+            self._last_power[p] = float(r["power_w"])
+            self._last_time[p] = float(r["time_s"])
+            self._last_est[p] = bool(r["estimated"])
+            self._last_has[p] = True
         self._capped_servers = {
             server_id: float(cap)
             for server_id, cap in state["capped_servers"].items()
@@ -1078,12 +891,6 @@ class LeafPowerController(BaseController[list[PowerReading]]):
         estimator_state = state.get("estimator")
         if self.estimator is not None and estimator_state is not None:
             self.estimator.restore_state(estimator_state)
-        if self._batch is not None:
-            self._last_has[:] = False
-            self._last_est[:] = False
-            self._last_power[:] = 0.0
-            self._last_time[:] = 0.0
-            self._seed_last_cache()
 
     # ------------------------------------------------------------------
     # Validation against breaker readings

@@ -85,8 +85,6 @@ def build_econ_world(
     scenario: str = "price-spike-day",
     seed: int = 0,
     governed: bool = True,
-    physics_backend: str = "scalar",
-    control_backend: str = "scalar",
 ) -> World:
     """Build an economics world, armed and started at t=0.
 
@@ -122,11 +120,7 @@ def build_econ_world(
     dynamo = Dynamo(
         engine, topology, fleet, config=config, rng_streams=rng.fork("dynamo")
     )
-    driver = FleetDriver(
-        engine, topology, fleet, physics_backend=physics_backend
-    )
-    if control_backend == "vectorized":
-        dynamo.enable_vectorized_control(driver)
+    driver = FleetDriver(engine, topology, fleet)
     governor = EconomicGovernor(engine, dynamo, fleet, shaping=governed)
     driver.start()
     dynamo.start()
@@ -138,8 +132,6 @@ def build_econ_world(
                 "scenario": scenario,
                 "seed": seed,
                 "governed": governed,
-                "physics_backend": physics_backend,
-                "control_backend": control_backend,
             },
         },
         engine=engine,
@@ -159,17 +151,9 @@ def run_econ_day(
     seed: int = 0,
     governed: bool = True,
     duration_s: float | None = None,
-    physics_backend: str = "scalar",
-    control_backend: str = "scalar",
 ) -> World:
     """Build an economics world and run it to the scenario's end."""
-    world = build_econ_world(
-        scenario=scenario,
-        seed=seed,
-        governed=governed,
-        physics_backend=physics_backend,
-        control_backend=control_backend,
-    )
+    world = build_econ_world(scenario=scenario, seed=seed, governed=governed)
     end_s = duration_s if duration_s is not None else world.extras["end_s"]
     world.run_until(float(end_s))
     return world

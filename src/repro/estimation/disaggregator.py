@@ -85,10 +85,7 @@ def uncertainty_margin_w(
     """Aggregate safety margin from per-reading confidence.
 
     Left-to-right sum of ``power · (1 − confidence)`` over readings with
-    confidence below 1.0 (skipping full-confidence readings keeps the
-    addition sequence identical between the scalar lane, which passes
-    the full reading list, and the batched lane, which passes only the
-    stale + estimated tails).
+    confidence below 1.0.
     """
     margin = 0.0
     for reading in readings:
@@ -120,9 +117,10 @@ class PowerDisaggregator:
     ) -> None:
         """Consume one cycle's measured ``(server_id, power_w, service)``.
 
-        Scalar accumulation in iteration order: both control lanes feed
-        broadcast position order, so the fitted floats are bit-identical
-        across backends.
+        Scalar accumulation in iteration order: the leaf controller feeds
+        broadcast position order whether a batch or a sequential
+        broadcast served the readings, so the fitted floats are
+        bit-identical either way.
         """
         alpha = self.config.ewma_alpha
         cycle_sum: dict[str, float] = {}

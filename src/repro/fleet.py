@@ -63,8 +63,9 @@ class Fleet:
     _service_index_len = -1
     _capped_ids = None
     _capped_ids_len = -1
-    #: Set by the driver when the vectorized backend is active.
-    _stepper = None
+    #: The vectorized stepper stepping this fleet, set by its
+    #: :class:`FleetDriver`; None on the per-object reference.
+    stepper = None
 
     def by_service(self, service: str) -> list[Server]:
         """Servers running one service."""
@@ -91,8 +92,8 @@ class Fleet:
 
     def total_power_w(self) -> float:
         """Instantaneous fleet power."""
-        if self._stepper is not None and len(self.servers) == self._stepper._n:
-            return self._stepper.total_power()
+        if self.stepper is not None and len(self.servers) == self.stepper._n:
+            return self.stepper.total_power()
         return seq_sum(s.power_w() for s in self.servers.values())
 
     def capped_servers(self) -> list[Server]:
@@ -208,6 +209,11 @@ class FleetDriver:
     Runs at a finer interval than the controllers (1 s by default) so
     RAPL settling transients and breaker thermal integration are resolved
     between control cycles.
+
+    Servers are stepped by the vectorized stepper
+    (:class:`~repro.server.vectorized.VectorizedFleetStepper`).
+    ``physics_backend="scalar"`` steps each server object in turn
+    instead: the per-object reference the parity tests compare against.
     """
 
     def __init__(
@@ -217,7 +223,7 @@ class FleetDriver:
         fleet: Fleet,
         *,
         step_interval_s: float = 1.0,
-        physics_backend: str = "scalar",
+        physics_backend: str = "vectorized",
         prefetch_draws: int = 64,
     ) -> None:
         if step_interval_s <= 0:
@@ -243,7 +249,7 @@ class FleetDriver:
                 fleet, prefetch_draws=prefetch_draws
             )
             self._stepper.bind_device_loads(topology)
-            fleet._stepper = self._stepper
+            fleet.stepper = self._stepper
         self._process = PeriodicProcess(
             engine,
             step_interval_s,

@@ -336,7 +336,7 @@ class ResilientTransport:
         return results, failures
 
     # ------------------------------------------------------------------
-    # Batched broadcast fast path (control_backend="vectorized")
+    # Batched broadcast fast path (a batch attached)
     # ------------------------------------------------------------------
 
     def _strike_resilient(

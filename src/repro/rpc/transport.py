@@ -280,8 +280,8 @@ class RpcTransport:
         #: layer's deadline check reads this, since calls are
         #: synchronous and simulation time does not advance.
         self.last_call_latency_s = 0.0
-        #: The attached :class:`~repro.core.agent_batch.AgentBatch`
-        #: (``control_backend="vectorized"`` worlds only).
+        #: The :class:`~repro.core.agent_batch.AgentBatch` that
+        #: ``Dynamo.start`` attaches; None when unattached.
         self._batch: Any = None
         self._registry_generation = 0
         self._group_plans: dict[int, _GroupPlan] = {}
@@ -360,7 +360,7 @@ class RpcTransport:
         return self.total_latency_s / self.calls_made
 
     # ------------------------------------------------------------------
-    # Batched broadcast fast path (control_backend="vectorized")
+    # Batched broadcast fast path (a batch attached)
     # ------------------------------------------------------------------
     #
     # RNG usage contract: a fast-lane run of k endpoints draws its

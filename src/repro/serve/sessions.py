@@ -392,9 +392,8 @@ class SessionManager:
     Creation requests are plain dicts (the POST body of the create
     endpoint); exactly one origin key picks the path:
 
-    * ``{"scenario": name, "seed": ..., "physics_backend": ...,
-      "control_backend": ...}`` — build a named world (``quickstart``
-      or any chaos scenario).
+    * ``{"scenario": name, "seed": ...}`` — build a named world
+      (``quickstart`` or any chaos scenario).
     * ``{"recipe": {...}}`` — any full world recipe
       (:func:`~repro.state.worlds.build_world`).
     * ``{"snapshot_path": p}`` / ``{"snapshot": envelope}`` — restore a
@@ -405,19 +404,10 @@ class SessionManager:
     forking the same warm origin parses and verifies it once.
     """
 
-    def __init__(
-        self,
-        *,
-        max_sessions: int = 64,
-        default_control_backend: str = "scalar",
-    ) -> None:
+    def __init__(self, *, max_sessions: int = 64) -> None:
         if max_sessions <= 0:
             raise ServeError("max_sessions must be positive")
         self.max_sessions = max_sessions
-        #: Control backend for scenario sessions whose spec omits
-        #: ``control_backend`` (the ``repro serve --control-backend``
-        #: default; recipe and snapshot sessions carry their own).
-        self.default_control_backend = default_control_backend
         self._sessions: dict[str, Session] = {}
         self._lock = threading.Lock()
         self._counter = itertools.count()
@@ -459,23 +449,10 @@ class SessionManager:
         if origin == "scenario":
             name = str(spec["scenario"])
             seed = int(spec.get("seed", 0))
-            backend = str(spec.get("physics_backend", "scalar"))
-            control = str(
-                spec.get("control_backend", self.default_control_backend)
-            )
             if name == QUICKSTART:
-                world = build_quickstart_world(
-                    seed=seed,
-                    physics_backend=backend,
-                    control_backend=control,
-                )
+                world = build_quickstart_world(seed=seed)
             else:
-                world = build_chaos_world(
-                    name,
-                    seed=seed,
-                    physics_backend=backend,
-                    control_backend=control,
-                )
+                world = build_chaos_world(name, seed=seed)
             return world, {"scenario": name, "seed": seed}
         if origin == "recipe":
             recipe = spec["recipe"]

@@ -116,10 +116,7 @@ def health_view(session: Session) -> dict:
     dynamo = world.dynamo
     now_s = world.now_s
     endpoints = []
-    for endpoint in sorted(dynamo.health.endpoints):
-        stats = dynamo.health.stats(endpoint)
-        if stats is None:
-            continue
+    for endpoint, stats in dynamo.endpoint_health().items():
         entry: dict[str, Any] = {
             "endpoint": endpoint,
             "attempts": stats.attempts,

@@ -1,13 +1,16 @@
 """Vectorized fleet physics: structure-of-arrays server stepping.
 
-The scalar reference path steps each :class:`~repro.server.server.Server`
-object in Python; at fleet scale the interpreter overhead dominates.
-This module packs per-server mutable state into numpy arrays (the
-binding machinery lives in :mod:`repro.simulation.soa`) and advances the
-whole fleet per tick with array ops.
+Worlds step their fleets here.  This module packs per-server mutable
+state into numpy arrays (the binding machinery lives in
+:mod:`repro.simulation.soa`) and advances the whole fleet per tick with
+array ops.  The per-object path, :meth:`Server.step
+<repro.server.server.Server.step>`, is now two things only: the
+fallback for rows an event knocks off the arrays this tick, and the
+reference the tests compare against
+(``FleetDriver(physics_backend="scalar")``).
 
-The backends are **bit-identical by contract**, which constrains the
-implementation in ways worth spelling out:
+The stepper is **bit-identical to that reference by contract**, which
+constrains the implementation in ways worth spelling out:
 
 * Transcendentals differ by 1 ulp between numpy ufuncs and the C library
   ``math`` module on a few percent of inputs, so any ``exp``/``cos``/
@@ -35,7 +38,7 @@ implementation in ways worth spelling out:
 
 State is shared, not copied: the scalar objects stay alive as views
 onto the arrays (agents, chaos faults, and snapshots read and write
-through the same properties on either backend).
+through the same properties on either lane).
 """
 
 from __future__ import annotations

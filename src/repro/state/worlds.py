@@ -24,6 +24,8 @@ Builders:
 
 from __future__ import annotations
 
+import inspect
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
@@ -64,11 +66,7 @@ class World:
         return self.engine.clock.now
 
 
-def build_quickstart_world(
-    seed: int = 0,
-    physics_backend: str = "scalar",
-    control_backend: str = "scalar",
-) -> World:
+def build_quickstart_world(seed: int = 0) -> World:
     """The CLI quickstart deployment, armed at t=0."""
     from repro.fleet import ServiceAllocation, populate_fleet
     from repro.power.builder import DataCenterSpec, build_datacenter
@@ -88,22 +86,11 @@ def build_quickstart_world(
         rng,
     )
     dynamo = Dynamo(engine, topology, fleet, rng_streams=rng.fork("dynamo"))
-    driver = FleetDriver(
-        engine, topology, fleet, physics_backend=physics_backend
-    )
-    if control_backend == "vectorized":
-        dynamo.enable_vectorized_control(driver)
+    driver = FleetDriver(engine, topology, fleet)
     driver.start()
     dynamo.start()
     return World(
-        recipe={
-            "builder": "quickstart",
-            "kwargs": {
-                "seed": seed,
-                "physics_backend": physics_backend,
-                "control_backend": control_backend,
-            },
-        },
+        recipe={"builder": "quickstart", "kwargs": {"seed": seed}},
         engine=engine,
         topology=topology,
         fleet=fleet,
@@ -116,8 +103,6 @@ def build_quickstart_world(
 def build_sized_world(
     servers: int = 1000,
     seed: int = 0,
-    physics_backend: str = "vectorized",
-    control_backend: str = "scalar",
     on_phase: Callable[[str], None] | None = None,
 ) -> World:
     """A parametric-size deployment for profiling and benchmarks.
@@ -160,25 +145,15 @@ def build_sized_world(
     done("populate")
     dynamo = Dynamo(engine, topology, fleet, rng_streams=rng.fork("dynamo"))
     done("Dynamo")
-    driver = FleetDriver(
-        engine, topology, fleet, physics_backend=physics_backend
-    )
-    if physics_backend == "vectorized":
-        done("stepper bind")
-    if control_backend == "vectorized":
-        dynamo.enable_vectorized_control(driver)
-        done("agent-batch bind")
+    driver = FleetDriver(engine, topology, fleet)
+    done("stepper bind")
     driver.start()
-    dynamo.start()
+    dynamo.start()  # attaches the batched control plane
+    done("agent-batch bind")
     return World(
         recipe={
             "builder": "sized",
-            "kwargs": {
-                "servers": servers,
-                "seed": seed,
-                "physics_backend": physics_backend,
-                "control_backend": control_backend,
-            },
+            "kwargs": {"servers": servers, "seed": seed},
         },
         engine=engine,
         topology=topology,
@@ -189,12 +164,7 @@ def build_sized_world(
     )
 
 
-def build_chaos_world(
-    scenario: str,
-    seed: int = 7,
-    physics_backend: str = "scalar",
-    control_backend: str = "scalar",
-) -> World:
+def build_chaos_world(scenario: str, seed: int = 7) -> World:
     """A named chaos scenario, armed and started at t=0.
 
     The underlying :class:`~repro.chaos.scenarios.ChaosRun` rides in
@@ -210,21 +180,12 @@ def build_chaos_world(
         raise SnapshotError(
             f"unknown chaos scenario {scenario!r}; known: {known}"
         ) from None
-    run = builder(
-        seed=seed,
-        physics_backend=physics_backend,
-        control_backend=control_backend,
-    )
+    run = builder(seed=seed)
     run.start()
     return World(
         recipe={
             "builder": "chaos",
-            "kwargs": {
-                "scenario": scenario,
-                "seed": seed,
-                "physics_backend": physics_backend,
-                "control_backend": control_backend,
-            },
+            "kwargs": {"scenario": scenario, "seed": seed},
         },
         engine=run.engine,
         topology=run.topology,
@@ -242,8 +203,6 @@ def build_econ_world(
     scenario: str = "price-spike-day",
     seed: int = 0,
     governed: bool = True,
-    physics_backend: str = "scalar",
-    control_backend: str = "scalar",
 ) -> World:
     """A named economics scenario, governed and started at t=0.
 
@@ -252,13 +211,7 @@ def build_econ_world(
     """
     from repro.economics.scenarios import build_econ_world as build
 
-    return build(
-        scenario=scenario,
-        seed=seed,
-        governed=governed,
-        physics_backend=physics_backend,
-        control_backend=control_backend,
-    )
+    return build(scenario=scenario, seed=seed, governed=governed)
 
 
 WORLD_BUILDERS: dict[str, Callable[..., World]] = {
@@ -270,13 +223,36 @@ WORLD_BUILDERS: dict[str, Callable[..., World]] = {
 
 
 def build_world(recipe: dict) -> World:
-    """Rebuild a world from a snapshot recipe."""
+    """Rebuild a world from a snapshot recipe.
+
+    The recipe's kwargs must bind to the builder's signature; anything
+    else (an unknown or missing key, a non-mapping) is a malformed
+    recipe and raises :class:`SnapshotError` naming the problem.
+    """
     try:
-        builder = WORLD_BUILDERS[str(recipe["builder"])]
+        name = str(recipe["builder"])
+        builder = WORLD_BUILDERS[name]
     except KeyError:
         known = ", ".join(sorted(WORLD_BUILDERS))
         raise SnapshotError(
             f"unknown world builder {recipe.get('builder')!r}; "
             f"known: {known}"
         ) from None
-    return builder(**recipe.get("kwargs", {}))
+    kwargs = recipe.get("kwargs", {})
+    if not isinstance(kwargs, Mapping):
+        raise SnapshotError(
+            f"recipe kwargs for {name!r} must be a mapping, "
+            f"not {type(kwargs).__name__}"
+        )
+    signature = inspect.signature(builder)
+    unknown = sorted(set(kwargs) - set(signature.parameters))
+    if unknown:
+        raise SnapshotError(
+            f"recipe for {name!r} has unknown kwargs {unknown}; "
+            f"{name!r} takes {list(signature.parameters)}"
+        )
+    try:
+        signature.bind(**kwargs)
+    except TypeError as exc:
+        raise SnapshotError(f"recipe for {name!r}: {exc}") from None
+    return builder(**kwargs)

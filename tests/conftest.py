@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from repro.fleet import FleetDriver
 from repro.power.device import DeviceLevel, PowerDevice
 from repro.power.topology import PowerTopology
 from repro.server.platform import HASWELL_2015
@@ -64,3 +68,23 @@ def tiny_topology() -> PowerTopology:
     sb.add_child(PowerDevice("rpp0", DeviceLevel.RPP, 30_000.0))
     sb.add_child(PowerDevice("rpp1", DeviceLevel.RPP, 30_000.0))
     return PowerTopology("tiny", [msb])
+
+
+@contextmanager
+def scalar_lane():
+    """Build worlds on the per-object reference lane.
+
+    Every world builder runs the array lane: the vectorized stepper plus
+    the batched control plane ``Dynamo.start`` attaches to it.  Inside
+    this block each ``FleetDriver`` is built with
+    ``physics_backend="scalar"``, so there is no stepper to attach to
+    and any builder yields the reference that parity tests compare
+    against.
+    """
+    build_driver = FleetDriver.__init__
+
+    def scalar_driver(self, *args, **kwargs):
+        build_driver(self, *args, **{**kwargs, "physics_backend": "scalar"})
+
+    with mock.patch.object(FleetDriver, "__init__", scalar_driver):
+        yield

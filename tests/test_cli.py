@@ -143,10 +143,6 @@ class TestProfileCommand:
                 "profile",
                 "--servers",
                 "504",
-                "--physics-backend",
-                "vectorized",
-                "--control-backend",
-                "vectorized",
                 "--duration-h",
                 "0.005",
                 "--top",
@@ -182,13 +178,6 @@ class TestProfileCommand:
         )
         # the tick table still follows, with the first cycle's physics in it
         assert "physics" in out and "top 3 functions" in out
-
-    def test_scalar_world_has_no_bind_rows(self, capsys):
-        assert main(["profile", "--servers", "120", "--duration-h", "0.005"]) == 0
-        rows = self._setup_rows(capsys.readouterr().out)
-        assert list(rows) == [
-            "topology", "populate", "Dynamo", "first cycle", "total"
-        ]
 
     def test_named_scenarios_print_no_setup_table(self, capsys):
         assert main(["profile", "quickstart", "--duration-h", "0.005"]) == 0
@@ -246,6 +235,18 @@ class TestHealthCommand:
         assert "rpp0.0.0: mode=normal" in out
         assert "endpoint health" in out
         assert "breaker=closed" in out
+
+    def test_health_counts_fast_lane_calls(self, capsys):
+        # Successes served on the batched fast lane count as calls even
+        # though they have not been folded into the health records.
+        code = main(["health", "rpp0.0.0", "--duration-h", "0.2"])
+        out = capsys.readouterr().out
+        assert code == 0
+        rows = [line for line in out.splitlines() if "agent:" in line]
+        assert len(rows) == 9
+        for row in rows:
+            assert "calls=240/240 retries=0(0 won)" in row
+        assert "no calls recorded" not in out
 
     def test_health_upper_controller_lists_children(self, capsys):
         code = main(["health", "sb0.0", "--duration-h", "0.05"])
@@ -333,6 +334,24 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert "corrupted snapshot" in err
+
+    def test_malformed_recipe_exits_2(self, capsys, tmp_path):
+        import dataclasses
+
+        from repro.state import SnapshotRegistry, build_quickstart_world
+
+        world = build_quickstart_world(seed=0)
+        world.run_until(9.0)
+        snapshot = SnapshotRegistry().capture(world)
+        bad = {"builder": "quickstart", "kwargs": {"seed": 0, "bogus": 1}}
+        path = dataclasses.replace(snapshot, recipe=bad).save(
+            tmp_path / "snap.json"
+        )
+        code = main(["snapshot", "restore", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "bogus" in err
+        assert "Traceback" not in err
 
     def test_schema_version_mismatch_exits_2(self, capsys, tmp_path):
         import json

@@ -6,7 +6,9 @@ scenario — two MSBs in two suites, a power surge, an agent crash, and a
 mid-run contractual squeeze on one SB — and compares a byte-for-byte
 fingerprint of every controller tick (time, controller, action), the
 chaos event log, and final per-controller telemetry against a golden
-recorded on the pre-refactor tree.
+recorded on the pre-refactor tree.  The golden was recorded on the
+per-object reference lane; the array lane every builder runs (the
+vectorized stepper plus the batched control plane) must reproduce it.
 
 Regenerate (only with a deliberate, reviewed behaviour change)::
 
@@ -25,6 +27,7 @@ from repro.power.builder import DataCenterSpec, build_datacenter
 from repro.power.oversubscription import plan_quotas
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.rng import RngStreams
+from tests.conftest import scalar_lane
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "control_parity_golden.txt"
 
@@ -34,11 +37,18 @@ END_S = 720.0
 
 def build_parity_run(
     seed: int = SEED,
-    physics_backend: str = "scalar",
-    control_backend: str = "scalar",
+    *,
+    physics_backend: str = "vectorized",
+    attach_early: bool = False,
     estimation: bool = False,
 ):
-    """A deterministic two-suite deployment with faults and a squeeze."""
+    """A deterministic two-suite deployment with faults and a squeeze.
+
+    The default is the array lane, its batch attached by
+    ``Dynamo.start``; ``attach_early`` attaches it as soon as the driver
+    exists instead.  ``physics_backend="scalar"`` is the per-object
+    reference.
+    """
     engine = SimulationEngine()
     topology = build_datacenter(
         DataCenterSpec(
@@ -77,6 +87,8 @@ def build_parity_run(
     driver = FleetDriver(
         engine, topology, fleet, physics_backend=physics_backend
     )
+    if attach_early:
+        dynamo.enable_vectorized_control(driver)
     orchestrator = ChaosOrchestrator(
         ChaosContext(
             engine=engine,
@@ -101,22 +113,17 @@ def build_parity_run(
             ),
         ]
     )
-    if control_backend == "vectorized":
-        dynamo.enable_vectorized_control(driver)
     return engine, dynamo, driver, orchestrator
 
 
 def run_and_fingerprint(
-    seed: int = SEED,
-    end_s: float = END_S,
-    physics_backend: str = "scalar",
-    control_backend: str = "scalar",
-    estimation: bool = False,
+    seed: int = SEED, end_s: float = END_S, **lane
 ) -> str:
-    """Run the scenario and render the behaviour fingerprint."""
-    engine, dynamo, driver, orchestrator = build_parity_run(
-        seed, physics_backend, control_backend, estimation
-    )
+    """Run the scenario and render the behaviour fingerprint.
+
+    ``lane`` is passed to :func:`build_parity_run`.
+    """
+    engine, dynamo, driver, orchestrator = build_parity_run(seed, **lane)
     ticks: list[str] = []
 
     def wrap(controller):
@@ -163,8 +170,9 @@ def run_and_fingerprint(
 
 
 def test_refactor_preserves_golden_fingerprint():
+    """The per-object reference lane reproduces the golden."""
     golden = GOLDEN_PATH.read_text()
-    current = run_and_fingerprint()
+    current = run_and_fingerprint(physics_backend="scalar")
     assert current == golden, (
         "control-cycle behaviour diverged from the pre-refactor golden; "
         "if the change is deliberate, regenerate with "
@@ -173,17 +181,18 @@ def test_refactor_preserves_golden_fingerprint():
 
 
 def test_vectorized_backend_matches_golden_fingerprint():
-    """The SoA stepper reproduces the scalar golden byte-for-byte."""
+    """The batch attached ahead of the start (as the perf harness
+    attaches it) reproduces the golden."""
     golden = GOLDEN_PATH.read_text()
-    current = run_and_fingerprint(physics_backend="vectorized")
+    current = run_and_fingerprint(attach_early=True)
     assert current == golden, (
-        "vectorized fleet physics diverged from the scalar golden; the "
-        "two backends must be bit-identical"
+        "attaching the batched control plane before the start changed "
+        "behaviour; the two lanes must be bit-identical"
     )
 
 
 def test_vectorized_control_matches_golden_fingerprint():
-    """The batched control plane reproduces the scalar golden too.
+    """The array lane every builder runs reproduces the golden too.
 
     The scenario crashes an agent at 90 s and squeezes sb0.0 from 240 s
     to 540 s, so the fingerprint covers mid-fault sensing (the crashed
@@ -192,9 +201,7 @@ def test_vectorized_control_matches_golden_fingerprint():
     which must stay byte-identical to the sequential broadcast.
     """
     golden = GOLDEN_PATH.read_text()
-    current = run_and_fingerprint(
-        physics_backend="vectorized", control_backend="vectorized"
-    )
+    current = run_and_fingerprint()
     assert current == golden, (
         "batched control plane diverged from the scalar golden; the "
         "group broadcast must be bit-identical to per-endpoint calls"
@@ -217,15 +224,8 @@ def test_estimation_enabled_matches_golden_fingerprint():
     )
 
 
-def _blackout_fingerprint(physics_backend: str, control_backend: str) -> str:
+def _blackout_fingerprint(run) -> str:
     """Per-tick fingerprint of the dark row's controller in a blackout."""
-    from repro.chaos.scenarios import sensor_blackout_50
-
-    run = sensor_blackout_50(
-        seed=7,
-        physics_backend=physics_backend,
-        control_backend=control_backend,
-    )
     run.run()
     dynamo = run.dynamo
     lines = [t.render() for t in dynamo.traces.for_controller("rpp0")]
@@ -239,7 +239,7 @@ def _blackout_fingerprint(physics_backend: str, control_backend: str) -> str:
 
 
 def test_blackout_parity_across_control_backends():
-    """Scalar and vectorized sense lanes agree through a 50% blackout.
+    """Broadcast and batched sensing agree through a 50% blackout.
 
     Stale-cache serving, the failure-fraction threshold, estimator
     training, residual disaggregation, and the uncertainty-inflated
@@ -247,8 +247,11 @@ def test_blackout_parity_across_control_backends():
     broadcast and the batched control plane — every rendered tick
     (including coverage and estimation-error fields) byte-for-byte.
     """
-    scalar = _blackout_fingerprint("scalar", "scalar")
-    batched = _blackout_fingerprint("vectorized", "vectorized")
+    from repro.chaos.scenarios import sensor_blackout_50
+
+    with scalar_lane():
+        scalar = _blackout_fingerprint(sensor_blackout_50(seed=7))
+    batched = _blackout_fingerprint(sensor_blackout_50(seed=7))
     assert scalar == batched, (
         "degraded-sensing behaviour diverged between control backends"
     )
@@ -259,7 +262,12 @@ if __name__ == "__main__":
 
     if "--write" in sys.argv:
         GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
-        GOLDEN_PATH.write_text(run_and_fingerprint())
+        GOLDEN_PATH.write_text(
+            run_and_fingerprint(physics_backend="scalar")
+        )
         print(f"wrote {GOLDEN_PATH}")
     else:
-        print(run_and_fingerprint(), end="")
+        print(
+            run_and_fingerprint(physics_backend="scalar"),
+            end="",
+        )

@@ -293,7 +293,9 @@ class TestReadingCache:
         rig.controller.tick(0.0)
         rig.transport.injector.take_down("agent:s0")
         rig.controller.tick(3.0)
-        assert not rig.controller._last_readings["s0"].stale
+        cached = rig.controller.snapshot_state()["last_readings"]["s0"]
+        assert not cached["stale"]
+        assert cached["time_s"] == 0.0
 
 
 class TestNonServerComponents:

@@ -59,6 +59,24 @@ class TestMultipleOffenders:
         assert decision.unallocated_w == 0.0
 
 
+class TestBucketWidth:
+    def test_width_scales_with_the_largest_child(self):
+        # The default width is 2% of the largest child (2 KW here), so
+        # two offenders 0.5 KW apart share one bucket and split the cut
+        # evenly.  Buckets 0.1 KW wide separate them: the larger one
+        # then pays the whole cut before the smaller is touched.
+        c1 = child("C1", 100_000.0, 90_000.0)
+        c2 = child("C2", 99_500.0, 90_000.0)
+        shared = punish_offender_first([c1, c2], 500.0)
+        assert shared.cuts_w["C1"] == pytest.approx(250.0)
+        assert shared.cuts_w["C2"] == pytest.approx(250.0)
+        narrow = punish_offender_first(
+            [c1, c2], 500.0, bucket_width_fraction=0.001
+        )
+        assert narrow.cuts_w["C1"] == pytest.approx(500.0)
+        assert narrow.cuts_w["C2"] == 0.0
+
+
 class TestSpillover:
     def test_cut_beyond_overage_spills_to_all(self):
         # Oversubscription case: offenders' overage is 20 KW but the

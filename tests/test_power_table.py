@@ -28,6 +28,7 @@ from repro.server.server import ConstantWorkload, Server
 from repro.server.vectorized import VectorizedFleetStepper
 from repro.simulation.soa import seq_sum
 from repro.state.worlds import build_quickstart_world
+from tests.conftest import scalar_lane
 
 LEVELS = (DeviceLevel.MSB, DeviceLevel.SB, DeviceLevel.RPP, DeviceLevel.RACK)
 
@@ -455,10 +456,10 @@ class TestSeqSum:
         # reading / neighbour / component sums, upper child sums)
         # against the array lanes, every rendered control tick.
         runs = {}
-        for backend in ("scalar", "vectorized"):
-            world = build_quickstart_world(
-                seed=4, physics_backend=backend, control_backend=backend
-            )
+        with scalar_lane():
+            scalar = build_quickstart_world(seed=4)
+        worlds = {"scalar": scalar, "vectorized": build_quickstart_world(seed=4)}
+        for backend, world in worlds.items():
             world.run_until(90.0)
             fleet = world.fleet
             assert fleet.total_power_w() == _running_total(

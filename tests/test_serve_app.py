@@ -187,6 +187,24 @@ class TestStepAndObserve:
         assert set(body["modes"].values()) == {"normal"}
         assert body["pending_serve_faults"] == []
 
+    def test_health_view_lists_every_agent_endpoint(self, app):
+        sid = make_session(app)
+        call(app, "POST", f"/sessions/{sid}/step", {"dt_s": 30.0})
+        session = app.manager.get(sid)
+        batch = session.world.dynamo.agent_batch
+        pending = batch.fast_successes.copy()
+        assert pending.sum() > 0
+        status, body = call(app, "GET", f"/sessions/{sid}/health")
+        assert status == 200
+        agents = [
+            e for e in body["endpoints"] if e["endpoint"].startswith("agent:")
+        ]
+        assert len(agents) == 36
+        for entry in agents:
+            assert entry["attempts"] == entry["successes"] == 10
+        # a view folds pending fast-lane successes in without moving them
+        assert (batch.fast_successes == pending).all()
+
 
 class TestActions:
     def test_band_change_applies(self, app):
@@ -435,6 +453,20 @@ class TestErrorMapping:
 
     def test_wrong_method_is_405(self, app):
         assert call(app, "PUT", "/sessions")[0] == 405
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"seed": 0, "bogus": 1}, ["seed", 0]]
+    )
+    def test_malformed_recipe_is_400(self, app, kwargs):
+        status, body = call(
+            app,
+            "POST",
+            "/sessions",
+            {"recipe": {"builder": "quickstart", "kwargs": kwargs}},
+        )
+        assert status == 400
+        assert "quickstart" in body["error"]
+        assert len(app.manager) == 0
 
     def test_malformed_json_is_400(self, app):
         response = app.handle(

@@ -6,6 +6,7 @@ run-to-2T — for a plain fleet, a fleet mid-capping-event, a fleet under
 an active chaos fault, and controllers in SAFE posture.
 """
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -28,6 +29,7 @@ from repro.state import (
     build_quickstart_world,
     fingerprint,
 )
+from repro.state.worlds import build_world
 
 
 def world_fingerprint(world) -> str:
@@ -122,11 +124,7 @@ class TestBitExactResume:
         # The batched control plane prefetches sensor noise and defers
         # breaker/health materialization; capture must flush both so a
         # resumed run continues the identical trajectory.
-        build = lambda: build_quickstart_world(  # noqa: E731
-            seed=0,
-            physics_backend="vectorized",
-            control_backend="vectorized",
-        )
+        build = lambda: build_quickstart_world(seed=0)  # noqa: E731
         assert resumed_fingerprint(build, 60.0, 120.0) == (
             uninterrupted_fingerprint(build, 120.0)
         )
@@ -136,12 +134,7 @@ class TestBitExactResume:
         # 680 s) has part of the group on the scalar lane with pending
         # fast-path successes on the rest, so the capture carries the
         # control_batch section plus armed per-endpoint faults.
-        build = lambda: build_chaos_world(  # noqa: E731
-            "campaign",
-            seed=7,
-            physics_backend="vectorized",
-            control_backend="vectorized",
-        )
+        build = lambda: build_chaos_world("campaign", seed=7)  # noqa: E731
         assert resumed_fingerprint(build, 650.0, 900.0) == (
             uninterrupted_fingerprint(build, 900.0)
         )
@@ -263,6 +256,50 @@ class TestEnvelope:
     def test_missing_file_is_rejected(self, tmp_path):
         with pytest.raises(SnapshotError):
             WorldSnapshot.load(tmp_path / "absent.json")
+
+
+class TestMalformedRecipes:
+    """A recipe whose kwargs do not bind to its builder is refused."""
+
+    @pytest.mark.parametrize(
+        "kwargs, named",
+        [
+            ({"bogus": 1}, "bogus"),
+            ([["seed", 0]], "mapping"),
+            ("seed=0", "mapping"),
+        ],
+    )
+    def test_bad_kwargs_name_the_problem(self, kwargs, named):
+        recipe = {"builder": "quickstart", "kwargs": kwargs}
+        with pytest.raises(SnapshotError, match=named):
+            build_world(recipe)
+
+    def test_missing_required_kwarg(self):
+        with pytest.raises(SnapshotError, match="scenario"):
+            build_world({"builder": "chaos", "kwargs": {"seed": 7}})
+
+    def test_envelope_recipe_with_backend_keys_is_refused(self):
+        # Recipes captured before every world ran the array lane carry
+        # the two backend keys; restoring one fails loudly by name.
+        world = build_quickstart_world(seed=0)
+        world.run_until(9.0)
+        snapshot = SnapshotRegistry().capture(world)
+        old = dataclasses.replace(
+            snapshot,
+            recipe={
+                "builder": "quickstart",
+                "kwargs": {
+                    "seed": 0,
+                    "physics_backend": "scalar",
+                    "control_backend": "scalar",
+                },
+            },
+        )
+        restored = WorldSnapshot.from_envelope(old.to_envelope())
+        with pytest.raises(SnapshotError) as excinfo:
+            SnapshotRegistry().restore(restored)
+        assert "control_backend" in str(excinfo.value)
+        assert "physics_backend" in str(excinfo.value)
 
 
 class TestCaptureGuards:

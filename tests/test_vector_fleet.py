@@ -1,10 +1,12 @@
-"""Vectorized fleet physics: bit-exact parity with the scalar path.
+"""The array lane: bit-exact parity with the per-object reference.
 
-The structure-of-arrays stepper is an optimisation, not a remodel: for
-any seed, every fingerprint it produces must be byte-identical to the
-scalar reference — plain fleets, fleets under capping, fleets with
-chaos faults in flight — and its packed arrays must survive a snapshot
-save → restore round-trip bit-exactly.  The RNG draw-order contract
+The structure-of-arrays stepper and the batched control plane are an
+optimisation, not a remodel: for any seed, every world a builder makes
+must fingerprint byte-identically to the same world on the per-object
+reference lane (:func:`tests.conftest.scalar_lane`) — plain fleets,
+fleets under capping, fleets with chaos faults in flight — and its
+packed arrays must survive a snapshot save → restore round-trip
+bit-exactly.  The RNG draw-order contract
 (block-prefetched normals == per-tick sequential draws) is checked
 both property-style on raw generators and end-to-end on the per-server
 stream states.
@@ -21,52 +23,85 @@ from repro.simulation.soa import seq_sum
 from repro.state.registry import SnapshotRegistry
 from repro.state.snapshot import fingerprint
 from repro.state.worlds import build_chaos_world, build_quickstart_world
-
+from tests.conftest import scalar_lane
 
 def world_fp(world) -> str:
     return fingerprint(SnapshotRegistry().capture(world).state)
 
 
-def quickstart_fp(backend: str, seed: int, end_s: float) -> str:
-    world = build_quickstart_world(seed=seed, physics_backend=backend)
-    world.run_until(end_s)
-    return world_fp(world)
+def lane_fp(world) -> str:
+    """Fingerprint of a world's capture with fast-lane calls recorded.
+
+    The array lane defers each fast-lane success (``control_batch``)
+    where the reference records a breaker-window entry and a health
+    record per call.  So the capture is restored into a copy, every
+    pending success is materialized there, and the copy is captured:
+    breaker states, windows and quarantines and every health counter
+    then compare bit for bit.  Only what the batch never backfills,
+    health latency samples and last-success times, is dropped.
+    """
+    registry = SnapshotRegistry()
+    snapshot = registry.capture(world)
+    if world.dynamo.agent_batch is not None:
+        copy = registry.restore(snapshot)
+        batch = copy.dynamo.agent_batch
+        for endpoint in batch.row_for_endpoint:
+            batch.materialize_pending(
+                endpoint, copy.dynamo.resilient_transport
+            )
+        assert not batch.fast_successes.any()
+        snapshot = registry.capture(copy)
+    state = dict(snapshot.state, control_batch=None)
+    for record in state["health"]["endpoints"].values():
+        del record["latencies"], record["last_success_s"]
+    return fingerprint(state)
+
+
+def both_lanes(build, end_s: float) -> dict:
+    """Build and run one world on each lane."""
+    with scalar_lane():
+        scalar = build()
+    assert scalar.driver.stepper is None and scalar.dynamo.agent_batch is None
+    vector = build()
+    assert vector.dynamo.agent_batch is not None
+    for world in (scalar, vector):
+        world.run_until(end_s)
+    return {"scalar": scalar, "vectorized": vector}
+
+
+def assert_lanes_agree(worlds: dict) -> None:
+    scalar, vector = worlds["scalar"], worlds["vectorized"]
+    assert lane_fp(vector) == lane_fp(scalar)
 
 
 # ---------------------------------------------------------------------------
-# Cross-backend golden parity
+# Cross-lane golden parity
 # ---------------------------------------------------------------------------
 
 
 class TestCrossBackendParity:
     def test_plain_fleet_bit_identical(self):
-        assert quickstart_fp("vectorized", 5, 720.0) == quickstart_fp(
-            "scalar", 5, 720.0
+        assert_lanes_agree(
+            both_lanes(lambda: build_quickstart_world(seed=5), 720.0)
         )
 
     def test_capping_event_bit_identical(self):
-        """Full sb-outage campaign: capping engages on both backends."""
-        fps = {}
-        for backend in ("scalar", "vectorized"):
-            world = build_chaos_world(
-                "sb-outage", seed=7, physics_backend=backend
-            )
-            world.run_until(900.0)
+        """Full sb-outage campaign: capping engages on both lanes."""
+        worlds = both_lanes(
+            lambda: build_chaos_world("sb-outage", seed=7), 900.0
+        )
+        for world in worlds.values():
             assert world.dynamo.total_cap_events() > 0
-            fps[backend] = world_fp(world)
-        assert fps["vectorized"] == fps["scalar"]
+        assert_lanes_agree(worlds)
 
     def test_active_chaos_fault_bit_identical(self):
         """Fingerprints taken mid-fault, with caps still in force."""
-        fps = {}
-        for backend in ("scalar", "vectorized"):
-            world = build_chaos_world(
-                "sb-outage", seed=7, physics_backend=backend
-            )
-            world.run_until(600.0)
+        worlds = both_lanes(
+            lambda: build_chaos_world("sb-outage", seed=7), 600.0
+        )
+        for world in worlds.values():
             assert world.fleet.capped_servers()
-            fps[backend] = world_fp(world)
-        assert fps["vectorized"] == fps["scalar"]
+        assert_lanes_agree(worlds)
 
 
 # ---------------------------------------------------------------------------
@@ -76,9 +111,7 @@ class TestCrossBackendParity:
 
 class TestVectorizedSnapshots:
     def test_resume_matches_uninterrupted(self):
-        build = lambda: build_quickstart_world(  # noqa: E731
-            seed=3, physics_backend="vectorized"
-        )
+        build = lambda: build_quickstart_world(seed=3)  # noqa: E731
         world = build()
         world.run_until(300.0)
         registry = SnapshotRegistry()
@@ -92,23 +125,17 @@ class TestVectorizedSnapshots:
 
     def test_roundtrip_preserves_packed_arrays(self):
         """restore() repopulates the SoA arrays the capture drained."""
-        world = build_quickstart_world(seed=3, physics_backend="vectorized")
+        world = build_quickstart_world(seed=3)
         world.run_until(120.0)
         registry = SnapshotRegistry()
         restored = registry.restore(registry.capture(world))
-        stepper = restored.fleet._stepper
+        stepper = restored.fleet.stepper
         assert stepper is not None
         arrays = stepper._arrays
         for sid, server in restored.fleet.servers.items():
             i = stepper._server_index[id(server)]
             assert arrays.power[i] == world.fleet.servers[sid].power_w()
             assert arrays.energy[i] == world.fleet.servers[sid].energy_j
-
-    def test_recipe_carries_backend(self):
-        world = build_quickstart_world(seed=0, physics_backend="vectorized")
-        assert (
-            world.recipe["kwargs"]["physics_backend"] == "vectorized"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -151,11 +178,12 @@ class TestDrawOrderContract:
     def test_stream_states_match_scalar_after_sync(self, ticks):
         """After sync(), every per-server generator sits at the scalar
         position — no speculative prefetch is left in flight."""
-        scalar = build_quickstart_world(seed=11, physics_backend="scalar")
-        vector = build_quickstart_world(seed=11, physics_backend="vectorized")
-        scalar.run_until(float(ticks))
-        vector.run_until(float(ticks))
+        worlds = both_lanes(
+            lambda: build_quickstart_world(seed=11), float(ticks)
+        )
+        scalar, vector = worlds["scalar"], worlds["vectorized"]
         vector.driver.sync_physics()
+        vector.dynamo.agent_batch.sync()
         for sid in scalar.fleet.servers:
             for prefix in ("server", "sensor"):
                 name = f"{prefix}.{sid}"
@@ -201,7 +229,7 @@ class TestFleetIndexes:
         assert fleet.capped_servers() == []
 
     def test_total_power_fast_path_matches_scalar_sum(self):
-        world = build_quickstart_world(seed=2, physics_backend="vectorized")
+        world = build_quickstart_world(seed=2)
         world.run_until(60.0)
         fleet = world.fleet
         expected = sum(s.power_w() for s in fleet.servers.values())
@@ -211,7 +239,7 @@ class TestFleetIndexes:
         """The compiled device table gathers loads from the packed power
         array, equals the recursive ``power_w()``, and is recompiled —
         state carried over — when a load is detached or attached."""
-        world = build_quickstart_world(seed=2, physics_backend="vectorized")
+        world = build_quickstart_world(seed=2)
         world.run_until(60.0)
         from repro.power.device import DeviceLevel
 
@@ -247,7 +275,7 @@ class TestFleetIndexes:
         assert rack.direct_load_power_w() == seq_sum(
             source() for source in rack._loads.values()
         )
-        # Stepping after the recompile stays on the cross-backend
+        # Stepping after the recompile stays on the cross-lane
         # contract: the breaker pass reads the re-attached load again.
         world.run_until(70.0)
         assert_table_matches_recursion()
@@ -277,18 +305,6 @@ class TestLeafEndpointCache:
         second = controller._endpoints()
         assert second == ["agent:s0", "agent:s1", "agent:s2"]
         assert second is not first
-
-    def test_sense_buffers_are_reused(self):
-        controller = self._controller()
-        buf = controller._readings_buf
-        controller.sense(0.0, _trace_builder())
-        assert controller._readings_buf is buf
-
-
-def _trace_builder():
-    from repro.telemetry.tracing import TraceBuilder
-
-    return TraceBuilder(time_s=0.0, controller="rpp0", kind="leaf")
 
 
 # ---------------------------------------------------------------------------
@@ -562,12 +578,7 @@ class TestFirstStepStaysOnTheVectorLane:
     def _sized(self, seed: int = 2):
         from repro.state.worlds import build_sized_world
 
-        return build_sized_world(
-            servers=2016,
-            seed=seed,
-            physics_backend="vectorized",
-            control_backend="vectorized",
-        )
+        return build_sized_world(servers=2016, seed=seed)
 
     def test_first_arrivals_are_drawn_in_place(self):
         """Every row's first burst arrival is undrawn at t=0; that used
@@ -586,12 +597,8 @@ class TestFirstStepStaysOnTheVectorLane:
         assert stepper.fallback_server_steps == crossings < 2016 // 10
 
     def test_first_arrivals_match_the_scalar_draws(self):
-        vector = self._sized(seed=6)
-        vector.run_until(0.0)
-        from repro.state.worlds import build_sized_world
-
-        scalar = build_sized_world(servers=2016, seed=6, physics_backend="scalar")
-        scalar.run_until(0.0)
+        worlds = both_lanes(lambda: self._sized(seed=6), 0.0)
+        scalar, vector = worlds["scalar"], worlds["vectorized"]
         for sid, server in scalar.fleet.servers.items():
             twin = vector.fleet.servers[sid]
             assert server.workload._bursts._next_start == (
@@ -599,15 +606,14 @@ class TestFirstStepStaysOnTheVectorLane:
             )
             assert server.power_w() == twin.power_w()
         vector.driver.sync_physics()
+        vector.dynamo.agent_batch.sync()
         assert scalar.rng.snapshot_state() == vector.rng.snapshot_state()
 
     @pytest.mark.parametrize("steps_before_capture", [0, 1])
     def test_resume_from_the_first_instants_is_bit_exact(
         self, steps_before_capture
     ):
-        build = lambda: build_quickstart_world(  # noqa: E731
-            seed=8, physics_backend="vectorized", control_backend="vectorized"
-        )
+        build = lambda: build_quickstart_world(seed=8)  # noqa: E731
         world = build()
         if steps_before_capture:
             world.run_until(0.0)

@@ -128,14 +128,20 @@ class TestSweepVisitsOnlyWhoItCouldActOn:
     every agent every sweep (the pre-notification behaviour)."""
 
     @staticmethod
-    def _run(control_backend: str, poll_everyone: bool) -> dict:
+    def _run(lane: str, poll_everyone: bool) -> dict:
+        from contextlib import nullcontext
+
+        from tests.conftest import scalar_lane
+
+        with scalar_lane() if lane == "scalar" else nullcontext():
+            return TestSweepVisitsOnlyWhoItCouldActOn._campaign(poll_everyone)
+
+    @staticmethod
+    def _campaign(poll_everyone: bool) -> dict:
         from repro.state.registry import SnapshotRegistry
         from repro.state.worlds import build_quickstart_world
 
-        physics = "vectorized" if control_backend == "vectorized" else "scalar"
-        world = build_quickstart_world(
-            seed=9, physics_backend=physics, control_backend=control_backend
-        )
+        world = build_quickstart_world(seed=9)
         ids = list(world.dynamo.agents)
         looper, flapper, once = ids[20], ids[3], ids[11]
 
@@ -178,8 +184,8 @@ class TestSweepVisitsOnlyWhoItCouldActOn:
 
     def test_identical_to_polling_every_agent_on_both_control_backends(self):
         outcomes = {
-            (backend, poll): self._run(backend, poll)
-            for backend in ("scalar", "vectorized")
+            (lane, poll): self._run(lane, poll)
+            for lane in ("scalar", "vectorized")
             for poll in (False, True)
         }
         reference = outcomes[("scalar", True)]
