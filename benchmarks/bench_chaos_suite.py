@@ -16,7 +16,8 @@ from repro.config import ControllerConfig, DynamoConfig, EstimationConfig
 
 def _run_scenario(name, seed=7):
     run = CHAOS_SCENARIOS[name](seed=seed)
-    run.run()
+    run.start()
+    run.run_until(run.end_s)
     return run
 
 
@@ -111,7 +112,8 @@ def _blackout_oracle(seed=7):
         end_s=900.0,
         config=config,
     )
-    run.run()
+    run.start()
+    run.run_until(run.end_s)
     return run
 
 

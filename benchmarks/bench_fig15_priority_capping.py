@@ -69,7 +69,7 @@ def window_mean(samples, start_s, end_s):
 
 def test_fig15_priority_capping(once):
     scenario, controller, breakdown = once(run_experiment)
-    pre = (scenario.extras["start_s"], TRIGGER_ON_S)
+    pre = (scenario.start_s, TRIGGER_ON_S)
     capped = (TRIGGER_ON_S + 60.0, TRIGGER_OFF_S)
 
     table = Table(

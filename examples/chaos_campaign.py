@@ -50,7 +50,8 @@ def main() -> None:
     # 2. Run it against a live deployment and score the outcome.
     # ------------------------------------------------------------------
     run = build_chaos_run("campaign", specs, seed=SEED, end_s=1500.0)
-    run.run()
+    run.start()
+    run.run_until(run.end_s)
     score = build_scorecard(run)
     print()
     print(render_scorecard(score))
@@ -59,13 +60,16 @@ def main() -> None:
     # 3. Prove replay: an identical second run, fingerprint-compared.
     # ------------------------------------------------------------------
     replay = CHAOS_SCENARIOS["campaign"](seed=SEED)
-    replay.run()
+    replay.start()
+    replay.run_until(replay.end_s)
     reference = CHAOS_SCENARIOS["campaign"](seed=SEED)
-    reference.run()
-    identical = replay.fingerprint() == reference.fingerprint()
+    reference.start()
+    reference.run_until(reference.end_s)
+    timeline = replay.orchestrator.timeline_fingerprint()
+    identical = timeline == reference.orchestrator.timeline_fingerprint()
     print()
     print("replayed timeline:")
-    for line in replay.fingerprint().splitlines():
+    for line in timeline.splitlines():
         print(f"  {line}")
     print()
     print(f"replay determinism: {'byte-identical' if identical else 'DIVERGED'}")

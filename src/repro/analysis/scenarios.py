@@ -1,7 +1,9 @@
-"""Prebuilt scenarios replaying the paper's production case studies.
+"""The paper's production case studies as unarmed worlds.
 
-Each builder assembles a topology, a fleet, and a running Dynamo
-deployment around one published event:
+Each scenario function builds one :class:`~repro.world.World` around one
+published event, and ``<name>_world`` is the same world armed with its
+recipe: the recipe table's ``ashburn``, ``altoona``, ``hadoop`` and
+``mixedrow`` entries.
 
 * :func:`ashburn_load_test` — Figure 11: a front-end cluster's PDU
   breaker driven into capping by a production load test.
@@ -21,7 +23,8 @@ when, and to what level — is preserved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from typing import Callable
 
 import numpy as np
 
@@ -43,44 +46,53 @@ from repro.workloads.hadoop import HadoopWorkload
 from repro.workloads.newsfeed import NewsfeedWorkload
 from repro.workloads.storage import StorageWorkload
 from repro.workloads.web import WebWorkload
+from repro.world import World
+
+#: ``benchmarks/perf/fleet.py`` builds its rows world as
+#: ``Scenario("rows", engine, topology, fleet, dynamo, driver)``.
+Scenario = World
 
 
-@dataclass
-class Scenario:
-    """A fully wired scenario ready to run."""
-
-    name: str
-    engine: SimulationEngine
-    topology: PowerTopology
-    fleet: Fleet
-    dynamo: Dynamo
-    driver: FleetDriver
-    extras: dict = field(default_factory=dict)
-
-    def start(self) -> None:
-        """Start the physical world and Dynamo."""
-        self.driver.start()
-        self.dynamo.start()
-
-    def run_until(self, end_time_s: float) -> None:
-        """Advance the simulation to an absolute time."""
-        self.engine.run_until(end_time_s)
-
-
-def _chain_topology(
+def _chain_world(
     name: str,
+    topology_name: str,
     leaf_ratings_w: list[float],
+    populate: Callable[[PowerTopology, Fleet, RngStreams], dict],
     *,
+    seed: int,
     sb_rating_w: float,
-    msb_rating_w: float,
-) -> PowerTopology:
-    """An MSB -> SB -> N RPP chain; only the interesting devices bind."""
-    msb = PowerDevice("msb0", DeviceLevel.MSB, msb_rating_w)
+    step_interval_s: float,
+    start_s: float = 0.0,
+    end_s: float,
+    physics_backend: str = "vectorized",
+) -> World:
+    """An MSB -> SB -> N RPP chain, populated and unarmed.
+
+    The case-study assembly: ``populate(topology, fleet, rng)`` attaches
+    the servers to the chain and returns the world's extras.
+    """
+    rng_streams = RngStreams(seed)
+    engine = SimulationEngine(start_time=start_s)
+    msb = PowerDevice("msb0", DeviceLevel.MSB, megawatts(2.5))
     sb = PowerDevice("sb0", DeviceLevel.SB, sb_rating_w)
     msb.add_child(sb)
     for i, rating in enumerate(leaf_ratings_w):
         sb.add_child(PowerDevice(f"rpp{i}", DeviceLevel.RPP, rating))
-    return PowerTopology(name, [msb])
+    topology = PowerTopology(topology_name, [msb])
+    plan_quotas(topology)
+    fleet = Fleet()
+    extras = populate(topology, fleet, rng_streams)
+    dynamo = Dynamo(
+        engine, topology, fleet, rng_streams=rng_streams.fork("dynamo")
+    )
+    driver = FleetDriver(
+        engine, topology, fleet, step_interval_s=step_interval_s,
+        physics_backend=physics_backend,
+    )
+    return World(
+        name, engine, topology, fleet, dynamo, driver, rng=rng_streams,
+        start_s=start_s, end_s=end_s, extras=extras,
+    )
 
 
 def _attach_servers(
@@ -122,7 +134,7 @@ def ashburn_load_test(
     server_count: int = 450,
     pdu_rating_w: float = kilowatts(127.5),
     seed: int = 11,
-) -> Scenario:
+) -> World:
     """Front-end cluster whose PDU is driven into capping by a load test.
 
     Timeline mirrors the paper: normal diurnal ramp from 8:00, load test
@@ -130,18 +142,6 @@ def ashburn_load_test(
     11:15, test ends 11:45, uncap near 12:00.  Simulation time is
     seconds-after-midnight.
     """
-    rng_streams = RngStreams(seed)
-    start_s = hours(8)
-    engine = SimulationEngine(start_time=start_s)
-    topology = _chain_topology(
-        "ashburn-frontend",
-        [pdu_rating_w],
-        sb_rating_w=megawatts(1.25),
-        msb_rating_w=megawatts(2.5),
-    )
-    plan_quotas(topology)
-    pdu = topology.device("rpp0")
-    fleet = Fleet()
     load_test = LoadTestEvent(
         start_s=hours(10) + 40 * 60,
         end_s=hours(11) + 45 * 60,
@@ -156,19 +156,21 @@ def ashburn_load_test(
         workload.add_modifier(load_test)
         return workload
 
-    _attach_servers(pdu, fleet, "web", server_count, make_web, rng_streams)
-    dynamo = Dynamo(
-        engine, topology, fleet, rng_streams=rng_streams.fork("dynamo")
-    )
-    driver = FleetDriver(engine, topology, fleet, step_interval_s=1.0)
-    return Scenario(
-        name="ashburn_load_test",
-        engine=engine,
-        topology=topology,
-        fleet=fleet,
-        dynamo=dynamo,
-        driver=driver,
-        extras={"pdu": pdu, "load_test": load_test, "start_s": start_s},
+    def populate(topology, fleet, rng_streams) -> dict:
+        pdu = topology.device("rpp0")
+        _attach_servers(pdu, fleet, "web", server_count, make_web, rng_streams)
+        return {"pdu": pdu, "load_test": load_test}
+
+    return _chain_world(
+        "ashburn",
+        "ashburn-frontend",
+        [pdu_rating_w],
+        populate,
+        seed=seed,
+        sb_rating_w=megawatts(1.25),
+        step_interval_s=1.0,
+        start_s=hours(8),
+        end_s=hours(12) + 30 * 60,
     )
 
 
@@ -185,7 +187,7 @@ def altoona_outage_recovery(
     sb_rating_w: float = kilowatts(90),
     rpp_rating_w: float = kilowatts(40),
     seed: int = 12,
-) -> Scenario:
+) -> World:
     """SB surged past its limit by recovery traffic; offender rows capped.
 
     Three "hot" rows run Turbo-enabled web servers that soak up the
@@ -196,17 +198,6 @@ def altoona_outage_recovery(
 
     Scaled ~10x down from the paper's 1.25 MW SB.
     """
-    rng_streams = RngStreams(seed)
-    start_s = hours(11)
-    engine = SimulationEngine(start_time=start_s)
-    topology = _chain_topology(
-        "altoona",
-        [rpp_rating_w] * (hot_rows + cool_rows),
-        sb_rating_w=sb_rating_w,
-        msb_rating_w=megawatts(2.5),
-    )
-    plan_quotas(topology)
-    fleet = Fleet()
     # The paper's SB rose to ~1.3x its normal *power* peak; demand
     # multipliers act on utilization, and the convex power curve plus
     # clipping at 100% means a 1.6x demand surge yields roughly that
@@ -220,19 +211,6 @@ def altoona_outage_recovery(
         workload.add_modifier(outage)
         return workload
 
-    hot_row_devices: list[PowerDevice] = []
-    for row in range(hot_rows):
-        device = topology.device(f"rpp{row}")
-        hot_row_devices.append(device)
-        _attach_servers(
-            device,
-            fleet,
-            f"web-r{row}",
-            servers_per_hot_row,
-            make_hot,
-            rng_streams,
-            turbo=True,
-        )
     def make_cool(rng: np.random.Generator) -> StochasticWorkload:
         # Storage servers also feel the recovery (mass restarts), but
         # far less: their base demand is small and IO-bound.
@@ -240,41 +218,53 @@ def altoona_outage_recovery(
         workload.add_modifier(outage)
         return workload
 
-    cool_row_devices: list[PowerDevice] = []
-    for row in range(hot_rows, hot_rows + cool_rows):
-        device = topology.device(f"rpp{row}")
-        cool_row_devices.append(device)
-        _attach_servers(
-            device,
-            fleet,
-            f"f4-r{row}",
-            servers_per_cool_row,
-            make_cool,
-            rng_streams,
-        )
-    dynamo = Dynamo(
-        engine, topology, fleet, rng_streams=rng_streams.fork("dynamo")
-    )
-    # The one world left on the per-object reference lane: the perf
-    # harness's fig12_outage workload is declared as that lane's
-    # per-call RPC measurement.
-    driver = FleetDriver(
-        engine, topology, fleet, step_interval_s=3.0, physics_backend="scalar"
-    )
-    return Scenario(
-        name="altoona_outage_recovery",
-        engine=engine,
-        topology=topology,
-        fleet=fleet,
-        dynamo=dynamo,
-        driver=driver,
-        extras={
+    def populate(topology, fleet, rng_streams) -> dict:
+        hot_row_devices: list[PowerDevice] = []
+        for row in range(hot_rows):
+            device = topology.device(f"rpp{row}")
+            hot_row_devices.append(device)
+            _attach_servers(
+                device,
+                fleet,
+                f"web-r{row}",
+                servers_per_hot_row,
+                make_hot,
+                rng_streams,
+                turbo=True,
+            )
+        cool_row_devices: list[PowerDevice] = []
+        for row in range(hot_rows, hot_rows + cool_rows):
+            device = topology.device(f"rpp{row}")
+            cool_row_devices.append(device)
+            _attach_servers(
+                device,
+                fleet,
+                f"f4-r{row}",
+                servers_per_cool_row,
+                make_cool,
+                rng_streams,
+            )
+        return {
             "outage": outage,
             "sb": topology.device("sb0"),
             "hot_rows": hot_row_devices,
             "cool_rows": cool_row_devices,
-            "start_s": start_s,
-        },
+        }
+
+    return _chain_world(
+        "altoona",
+        "altoona",
+        [rpp_rating_w] * (hot_rows + cool_rows),
+        populate,
+        seed=seed,
+        sb_rating_w=sb_rating_w,
+        # The one world left on the per-object reference lane: the perf
+        # harness's fig12_outage workload is declared as that lane's
+        # per-call RPC measurement.
+        step_interval_s=3.0,
+        physics_backend="scalar",
+        start_s=hours(11),
+        end_s=hours(14) + 600.0,
     )
 
 
@@ -289,7 +279,7 @@ def prineville_hadoop_turbo(
     sb_rating_w: float | None = None,
     turbo: bool = True,
     seed: int = 14,
-) -> Scenario:
+) -> World:
     """Hadoop cluster with Turbo on, living just under its SB limit.
 
     Power planning for this cluster did not account for Turbo Boost, so
@@ -298,47 +288,39 @@ def prineville_hadoop_turbo(
     capping threshold and Dynamo throttles a slice of the cluster
     (Figure 14 saw 7 events in 24 h, 600-900 servers each).
     """
-    rng_streams = RngStreams(seed)
-    engine = SimulationEngine(start_time=0.0)
     if sb_rating_w is None:
         # Mean hadoop draw is ~236 W/server with Turbo; put the limit a
         # few sigma above the mean so only correlated compute phases
         # cross the capping threshold — a handful of events per day, as
         # in Figure 14.
         sb_rating_w = server_count * 249.0
-    rpp_rating_w = sb_rating_w / rows * 1.5
-    topology = _chain_topology(
+
+    def populate(topology, fleet, rng_streams) -> dict:
+        per_row = server_count // rows
+        for row in range(rows):
+            count = (
+                per_row if row < rows - 1 else server_count - per_row * (rows - 1)
+            )
+            _attach_servers(
+                topology.device(f"rpp{row}"),
+                fleet,
+                f"hadoop-r{row}",
+                count,
+                lambda rng: HadoopWorkload(rng),
+                rng_streams,
+                turbo=turbo,
+            )
+        return {"sb": topology.device("sb0"), "sb_rating_w": sb_rating_w}
+
+    return _chain_world(
+        "hadoop",
         "prineville-hadoop",
-        [rpp_rating_w] * rows,
+        [sb_rating_w / rows * 1.5] * rows,
+        populate,
+        seed=seed,
         sb_rating_w=sb_rating_w,
-        msb_rating_w=megawatts(2.5),
-    )
-    plan_quotas(topology)
-    fleet = Fleet()
-    per_row = server_count // rows
-    for row in range(rows):
-        count = per_row if row < rows - 1 else server_count - per_row * (rows - 1)
-        _attach_servers(
-            topology.device(f"rpp{row}"),
-            fleet,
-            f"hadoop-r{row}",
-            count,
-            lambda rng: HadoopWorkload(rng),
-            rng_streams,
-            turbo=turbo,
-        )
-    dynamo = Dynamo(
-        engine, topology, fleet, rng_streams=rng_streams.fork("dynamo")
-    )
-    driver = FleetDriver(engine, topology, fleet, step_interval_s=3.0)
-    return Scenario(
-        name="prineville_hadoop_turbo",
-        engine=engine,
-        topology=topology,
-        fleet=fleet,
-        dynamo=dynamo,
-        driver=driver,
-        extras={"sb": topology.device("sb0"), "sb_rating_w": sb_rating_w},
+        step_interval_s=3.0,
+        end_s=hours(24),
     )
 
 
@@ -353,7 +335,7 @@ def mixed_service_row(
     feed_count: int = 40,
     rpp_rating_w: float = kilowatts(190),
     seed: int = 15,
-) -> Scenario:
+) -> World:
     """One RPP carrying web + cache + feed servers (the paper's row).
 
     Capping is triggered *manually* during the experiment by imposing a
@@ -361,58 +343,75 @@ def mixed_service_row(
     capping threshold); the expected outcome is that web and feed servers
     get capped while the higher-priority cache servers are spared.
     """
-    rng_streams = RngStreams(seed)
-    start_s = hours(13) + 40 * 60
-    engine = SimulationEngine(start_time=start_s)
-    topology = _chain_topology(
-        "mixed-row",
-        [rpp_rating_w],
-        sb_rating_w=megawatts(1.25),
-        msb_rating_w=megawatts(2.5),
-    )
-    plan_quotas(topology)
-    rpp = topology.device("rpp0")
-    fleet = Fleet()
-    web_servers = _attach_servers(
-        rpp,
-        fleet,
-        "web",
-        web_count,
-        lambda rng: WebWorkload(rng, shape=DiurnalShape(trough=0.40, peak=0.65)),
-        rng_streams,
-    )
-    cache_servers = _attach_servers(
-        rpp,
-        fleet,
-        "cache",
-        cache_count,
-        lambda rng: CacheWorkload(rng),
-        rng_streams,
-    )
-    feed_servers = _attach_servers(
-        rpp,
-        fleet,
-        "feed",
-        feed_count,
-        lambda rng: NewsfeedWorkload(rng, shape=DiurnalShape(trough=0.40, peak=0.65)),
-        rng_streams,
-    )
-    dynamo = Dynamo(
-        engine, topology, fleet, rng_streams=rng_streams.fork("dynamo")
-    )
-    driver = FleetDriver(engine, topology, fleet, step_interval_s=1.0)
-    return Scenario(
-        name="mixed_service_row",
-        engine=engine,
-        topology=topology,
-        fleet=fleet,
-        dynamo=dynamo,
-        driver=driver,
-        extras={
+
+    def populate(topology, fleet, rng_streams) -> dict:
+        rpp = topology.device("rpp0")
+        web_servers = _attach_servers(
+            rpp,
+            fleet,
+            "web",
+            web_count,
+            lambda rng: WebWorkload(
+                rng, shape=DiurnalShape(trough=0.40, peak=0.65)
+            ),
+            rng_streams,
+        )
+        cache_servers = _attach_servers(
+            rpp,
+            fleet,
+            "cache",
+            cache_count,
+            lambda rng: CacheWorkload(rng),
+            rng_streams,
+        )
+        feed_servers = _attach_servers(
+            rpp,
+            fleet,
+            "feed",
+            feed_count,
+            lambda rng: NewsfeedWorkload(
+                rng, shape=DiurnalShape(trough=0.40, peak=0.65)
+            ),
+            rng_streams,
+        )
+        return {
             "rpp": rpp,
             "web_servers": web_servers,
             "cache_servers": cache_servers,
             "feed_servers": feed_servers,
-            "start_s": start_s,
-        },
+        }
+
+    return _chain_world(
+        "mixedrow",
+        "mixed-row",
+        [rpp_rating_w],
+        populate,
+        seed=seed,
+        sb_rating_w=megawatts(1.25),
+        step_interval_s=1.0,
+        start_s=hours(13) + 40 * 60,
+        end_s=hours(14) + 10 * 60,
     )
+
+
+# ---------------------------------------------------------------------------
+# Recipe-table entries
+# ---------------------------------------------------------------------------
+
+def _armed(name: str, build: Callable[..., World]) -> Callable[..., World]:
+    """``build`` as the recipe-table entry ``name``: armed, with its recipe."""
+
+    @functools.wraps(build)
+    def armed(**kwargs) -> World:
+        world = build(**kwargs)
+        world.recipe = {"builder": name, "kwargs": kwargs}
+        world.start()
+        return world
+
+    return armed
+
+
+ashburn_world = _armed("ashburn", ashburn_load_test)
+altoona_world = _armed("altoona", altoona_outage_recovery)
+hadoop_world = _armed("hadoop", prineville_hadoop_turbo)
+mixedrow_world = _armed("mixedrow", mixed_service_row)

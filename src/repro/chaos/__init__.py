@@ -27,7 +27,6 @@ from repro.chaos.orchestrator import ChaosContext, ChaosOrchestrator
 from repro.chaos.report import RobustnessScore, build_scorecard, render_scorecard
 from repro.chaos.scenarios import (
     CHAOS_SCENARIOS,
-    ChaosRun,
     build_chaos_run,
     random_campaign_specs,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "CHAOS_SCENARIOS",
     "ChaosContext",
     "ChaosOrchestrator",
-    "ChaosRun",
     "FaultSpec",
     "RobustnessScore",
     "build_chaos_run",

@@ -1,6 +1,6 @@
 """The robustness scorecard: did Dynamo survive the chaos?
 
-A scorecard condenses one finished :class:`~repro.chaos.scenarios.ChaosRun`
+A scorecard condenses one finished chaos :class:`~repro.world.World`
 into the metrics the paper's fault-tolerance story hinges on:
 
 * **time-to-detect** — seconds from the first injection to the first
@@ -25,9 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.report import Table
-from repro.chaos.scenarios import ChaosRun
 from repro.core.failover import FailoverController
 from repro.telemetry.alerts import Severity
+from repro.telemetry.timeseries import TimeSeries
+from repro.world import World
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,7 @@ class RobustnessScore:
 
 
 def _detect_and_recover(
-    run: ChaosRun, first_injection_s: float | None
+    series: TimeSeries, first_injection_s: float | None, end_s: float
 ) -> tuple[float | None, float]:
     """Detection and recovery latencies from the health-probe series.
 
@@ -93,7 +94,6 @@ def _detect_and_recover(
     injection.  Recovery is the first healthy sample *after the last
     unhealthy sample* — health must stay restored to the end of the run.
     """
-    series = run.orchestrator.health_series
     if first_injection_s is None or len(series) == 0:
         return None, 0.0
     times = series.times
@@ -108,18 +108,19 @@ def _detect_and_recover(
     recovered_at = [t for t in times if t > last_bad]
     # If no healthy sample follows the last unhealthy one, the run ended
     # degraded: charge recovery through the end of the run.
-    recover_s = (recovered_at[0] if recovered_at else run.end_s) - first_injection_s
+    recover_s = (recovered_at[0] if recovered_at else end_s) - first_injection_s
     return float(detect_s), float(recover_s)
 
 
-def _sla_violation_s(run: ChaosRun) -> float:
+def _sla_violation_s(world: World) -> float:
     """Integrated seconds the monitored aggregate exceeded its rating.
 
     Uses the device rating at scorecard time; for derating scenarios
     whose fault has already recovered this is the original rating.
     """
-    controller = run.dynamo.controller(run.monitored_device)
-    limit_w = run.topology.device(run.monitored_device).rated_power_w
+    monitored = world.extras["monitored_device"]
+    controller = world.dynamo.controller(monitored)
+    limit_w = world.topology.device(monitored).rated_power_w
     series = controller.aggregate_series
     if len(series) < 2:
         return 0.0
@@ -132,39 +133,43 @@ def _sla_violation_s(run: ChaosRun) -> float:
     return float(violation)
 
 
-def build_scorecard(run: ChaosRun) -> RobustnessScore:
+def build_scorecard(world: World) -> RobustnessScore:
     """Score a finished chaos run."""
-    orchestrator = run.orchestrator
+    orchestrator, end_s, rng = world.orchestrator, world.end_s, world.rng
+    if orchestrator is None or end_s is None or rng is None:
+        raise ValueError(f"{world.name!r} is not a chaos drill to score")
     first_injection_s = orchestrator.first_injection_time_s()
-    detect_s, recover_s = _detect_and_recover(run, first_injection_s)
+    detect_s, recover_s = _detect_and_recover(
+        orchestrator.health_series, first_injection_s, end_s
+    )
     aborts = sum(
         leaf.invalid_cycles
-        for leaf in run.dynamo.hierarchy.leaf_controllers.values()
+        for leaf in world.dynamo.hierarchy.leaf_controllers.values()
     )
     failovers = sum(
         c.failovers
-        for c in run.dynamo.hierarchy.all_controllers
+        for c in world.dynamo.hierarchy.all_controllers
         if isinstance(c, FailoverController)
     )
-    trace_metrics = run.dynamo.traces.metrics()
-    health = getattr(run.dynamo, "health", None)
+    trace_metrics = world.dynamo.traces.metrics()
+    health = getattr(world.dynamo, "health", None)
     return RobustnessScore(
-        scenario=run.name,
-        seed=run.seed,
+        scenario=world.name,
+        seed=rng.seed,
         injections=orchestrator.injection_count,
         recoveries=len(orchestrator.events.by_kind_prefix("recover.")),
         time_to_detect_s=detect_s,
         time_to_recover_s=recover_s,
-        breaker_trips=len(run.driver.trips),
-        sla_violation_s=_sla_violation_s(run),
+        breaker_trips=len(world.driver.trips),
+        sla_violation_s=_sla_violation_s(world),
         aggregation_aborts=aborts,
-        critical_alerts=len(run.dynamo.alerts.by_severity(Severity.CRITICAL)),
-        watchdog_restarts=run.dynamo.watchdog.restarts,
-        watchdog_suppressed=run.dynamo.watchdog.restarts_suppressed,
+        critical_alerts=len(world.dynamo.alerts.by_severity(Severity.CRITICAL)),
+        watchdog_restarts=world.dynamo.watchdog.restarts,
+        watchdog_suppressed=world.dynamo.watchdog.restarts_suppressed,
         failovers=failovers,
-        cap_events=run.dynamo.total_cap_events(),
+        cap_events=world.dynamo.total_cap_events(),
         uncap_events=sum(
-            c.uncap_events for c in run.dynamo.hierarchy.all_controllers
+            c.uncap_events for c in world.dynamo.hierarchy.all_controllers
         ),
         ticks_traced=trace_metrics.ticks,
         invalid_ticks=trace_metrics.invalid_ticks,
@@ -181,12 +186,12 @@ def build_scorecard(run: ChaosRun) -> RobustnessScore:
         endpoint_quarantines=(
             health.total_quarantines if health is not None else 0
         ),
-        degraded_mode_entries=run.dynamo.degraded_mode_entries(),
-        safe_mode_entries=run.dynamo.safe_mode_entries(),
+        degraded_mode_entries=world.dynamo.degraded_mode_entries(),
+        safe_mode_entries=world.dynamo.safe_mode_entries(),
         pulls_stale=trace_metrics.pulls_stale,
-        sensor_degraded_entries=run.dynamo.sensor_degraded_entries(),
-        time_in_sensor_degraded_s=run.dynamo.time_in_sensor_degraded_s(
-            run.end_s
+        sensor_degraded_entries=world.dynamo.sensor_degraded_entries(),
+        time_in_sensor_degraded_s=world.dynamo.time_in_sensor_degraded_s(
+            end_s
         ),
         pulls_disaggregated=trace_metrics.pulls_disaggregated,
         max_estimation_error_w=trace_metrics.max_estimation_error_w,

@@ -4,7 +4,11 @@ Each scenario wires a small, deliberately fragile deployment (thin SB
 headroom over rows of web servers, as in
 :func:`repro.analysis.worlds.build_surge_world`), arms a fault schedule
 through the :class:`ChaosOrchestrator`, and attaches a health probe so
-the scorecard can measure detection and recovery.
+the scorecard can measure detection and recovery.  It returns an
+unarmed :class:`~repro.world.World` whose ``end_s`` is the end of its
+schedule and whose ``extras["monitored_device"]`` names the device the
+probe and scorecard watch; :func:`chaos_world` is the recipe table's
+``chaos`` entry, the same world armed and carrying its recipe.
 
 Named scenarios map to the paper's fault-tolerance claims:
 
@@ -44,7 +48,6 @@ Named scenarios map to the paper's fault-tolerance claims:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.analysis.worlds import build_surge_world
@@ -58,50 +61,13 @@ from repro.config import (
 from repro.chaos.orchestrator import ChaosContext, ChaosOrchestrator
 from repro.core.dynamo import Dynamo
 from repro.core.remote import distribute_hierarchy
-from repro.errors import ConfigurationError
-from repro.fleet import Fleet, FleetDriver
-from repro.power.topology import PowerTopology
-from repro.simulation.engine import SimulationEngine
+from repro.errors import ConfigurationError, SnapshotError
+from repro.fleet import FleetDriver
 from repro.simulation.rng import RngStreams
+from repro.world import World
 
 
-@dataclass
-class ChaosRun:
-    """A fully wired chaos experiment ready to run."""
-
-    name: str
-    seed: int
-    engine: SimulationEngine
-    topology: PowerTopology
-    fleet: Fleet
-    dynamo: Dynamo
-    driver: FleetDriver
-    rng: RngStreams
-    orchestrator: ChaosOrchestrator
-    specs: list[FaultSpec]
-    monitored_device: str
-    end_s: float
-    extras: dict = field(default_factory=dict)
-
-    def start(self) -> None:
-        """Start the physical world, Dynamo, and any attached governor."""
-        self.driver.start()
-        self.dynamo.start()
-        governor = self.extras.get("governor")
-        if governor is not None:
-            governor.start()
-
-    def run(self) -> None:
-        """Start everything and run the schedule to completion."""
-        self.start()
-        self.engine.run_until(self.end_s)
-
-    def fingerprint(self) -> str:
-        """The injection/recovery timeline fingerprint."""
-        return self.orchestrator.timeline_fingerprint()
-
-
-def default_health_probe(run: ChaosRun) -> Callable[[ChaosContext], bool]:
+def default_health_probe(world: World) -> Callable[[ChaosContext], bool]:
     """The scenario-agnostic health predicate.
 
     Healthy means: no breaker has tripped, every agent is up, the
@@ -109,13 +75,14 @@ def default_health_probe(run: ChaosRun) -> Callable[[ChaosContext], bool]:
     and no leaf controller aborted an aggregation since the last sample.
     """
     state = {"invalid": 0}
+    monitored = world.extras["monitored_device"]
 
     def healthy(ctx: ChaosContext) -> bool:
-        ok = not run.driver.tripped
+        ok = not world.driver.tripped
         if not all(agent.healthy for agent in ctx.dynamo.agents.values()):
             ok = False
-        controller = ctx.dynamo.controller(run.monitored_device)
-        device = ctx.topology.device(run.monitored_device)
+        controller = ctx.dynamo.controller(monitored)
+        device = ctx.topology.device(monitored)
         aggregate = controller.last_aggregate_power_w
         if aggregate is not None and aggregate > device.rated_power_w:
             ok = False
@@ -146,8 +113,8 @@ def build_chaos_run(
     monitored_device: str = "sb0",
     probe_interval_s: float = 3.0,
     config: DynamoConfig | None = None,
-) -> ChaosRun:
-    """Wire a chaos experiment: world + Dynamo + orchestrator + probe."""
+) -> World:
+    """Wire a chaos experiment, unarmed: world + Dynamo + orchestrator + probe."""
     engine, topology, fleet, rng = build_surge_world(
         n_servers=n_servers, level=level, rpp_count=rpp_count, seed=seed
     )
@@ -164,32 +131,33 @@ def build_chaos_run(
         driver=driver,
     )
     orchestrator = ChaosOrchestrator(ctx)
-    run = ChaosRun(
-        name=name,
-        seed=seed,
-        engine=engine,
-        topology=topology,
-        fleet=fleet,
-        dynamo=dynamo,
-        driver=driver,
-        rng=rng,
-        orchestrator=orchestrator,
-        specs=list(specs),
-        monitored_device=monitored_device,
-        end_s=end_s,
+    world = World(
+        name, engine, topology, fleet, dynamo, driver, rng=rng,
+        orchestrator=orchestrator, end_s=end_s,
+        extras={"monitored_device": monitored_device},
     )
-    orchestrator.schedule_all(run.specs)
+    orchestrator.schedule_all(specs)
     orchestrator.attach_probe(
-        default_health_probe(run), interval_s=probe_interval_s
+        default_health_probe(world), interval_s=probe_interval_s
     )
-    return run
+    return world
+
+
+def _surge_server_ids(rows: range = range(2), per_row: int = 20) -> list[str]:
+    """Server ids of the drills' surge world, sorted, without building it.
+
+    :func:`~repro.analysis.worlds.build_surge_world` names server ``i``
+    of row ``r`` ``s{r}-{i}``; the drills run its default 40 servers
+    over two rows.
+    """
+    return sorted(f"s{row}-{i}" for row in rows for i in range(per_row))
 
 
 # ---------------------------------------------------------------------------
 # Named scenarios
 # ---------------------------------------------------------------------------
 
-def sb_outage(seed: int = 7) -> ChaosRun:
+def sb_outage(seed: int = 7) -> World:
     """Figure 12 ride-through: outage-recovery surge against the SB."""
     specs = [
         FaultSpec(
@@ -207,13 +175,11 @@ def sb_outage(seed: int = 7) -> ChaosRun:
     )
 
 
-def watchdog_restart(seed: int = 7) -> ChaosRun:
+def watchdog_restart(seed: int = 7) -> World:
     """A quarter of the agents crash; the watchdog repairs them."""
     # Targets are fixed by position so the schedule itself is static;
     # only fault *consequences* vary with the seed.
-    engine, topology, fleet, _ = build_surge_world(n_servers=40, seed=seed)
-    del engine, topology
-    victims = tuple(sorted(fleet.servers)[::4])
+    victims = tuple(_surge_server_ids()[::4])
     specs = [FaultSpec(kind="agent-crash", start_s=120.0, targets=victims)]
     return build_chaos_run(
         "watchdog-restart",
@@ -223,7 +189,7 @@ def watchdog_restart(seed: int = 7) -> ChaosRun:
     )
 
 
-def leaf_controller_crash(seed: int = 7) -> ChaosRun:
+def leaf_controller_crash(seed: int = 7) -> World:
     """A leaf controller primary dies; its backup takes over."""
     specs = [
         FaultSpec(
@@ -241,7 +207,7 @@ def leaf_controller_crash(seed: int = 7) -> ChaosRun:
     )
 
 
-def upper_controller_crash(seed: int = 7) -> ChaosRun:
+def upper_controller_crash(seed: int = 7) -> World:
     """The SB-level controller primary dies; its backup takes over."""
     specs = [
         FaultSpec(
@@ -259,7 +225,7 @@ def upper_controller_crash(seed: int = 7) -> ChaosRun:
     )
 
 
-def rpc_storm(seed: int = 7) -> ChaosRun:
+def rpc_storm(seed: int = 7) -> World:
     """Flaky fabric plus a latency spike across every agent endpoint."""
     specs = [
         FaultSpec(
@@ -283,7 +249,7 @@ def rpc_storm(seed: int = 7) -> ChaosRun:
     )
 
 
-def flaky_fabric_recovery(seed: int = 7) -> ChaosRun:
+def flaky_fabric_recovery(seed: int = 7) -> World:
     """Fabric-wide flakiness ramps up to 30%, peaks, and subsides.
 
     Runs the fully *distributed* hierarchy (controller endpoints on the
@@ -303,7 +269,7 @@ def flaky_fabric_recovery(seed: int = 7) -> ChaosRun:
         )
         for start_s, rate in windows
     ]
-    run = build_chaos_run(
+    world = build_chaos_run(
         "flaky-fabric-recovery",
         specs,
         seed=seed,
@@ -311,17 +277,15 @@ def flaky_fabric_recovery(seed: int = 7) -> ChaosRun:
     )
     # Distribute after wiring so the ctrl: endpoints exist on the fabric
     # before the first injection resolves its endpoint set.
-    run.extras["endpoints"] = distribute_hierarchy(
-        run.dynamo.hierarchy, run.dynamo.controller_transport
+    world.extras["endpoints"] = distribute_hierarchy(
+        world.dynamo.hierarchy, world.dynamo.controller_transport
     )
-    return run
+    return world
 
 
-def partition(seed: int = 7) -> ChaosRun:
+def partition(seed: int = 7) -> World:
     """Partition >20% of one row's agents: aggregation must abort."""
-    engine, topology, fleet, _ = build_surge_world(n_servers=40, seed=seed)
-    rpp0_ids = sorted(topology.device("rpp0").load_ids)
-    del engine, fleet
+    rpp0_ids = _surge_server_ids(rows=range(1))
     victims = tuple(rpp0_ids[: max(1, int(len(rpp0_ids) * 0.3))])
     specs = [
         FaultSpec(
@@ -339,7 +303,7 @@ def partition(seed: int = 7) -> ChaosRun:
     )
 
 
-def _sensor_blackout(fraction: float, seed: int = 7) -> ChaosRun:
+def _sensor_blackout(fraction: float, seed: int = 7) -> World:
     """Partition ``fraction`` of one row's agents with estimation on.
 
     The same fault shape as ``partition`` — an rpc partition well past
@@ -351,9 +315,7 @@ def _sensor_blackout(fraction: float, seed: int = 7) -> ChaosRun:
     through the invalid-cycle path to SAFE (fail-safe capping) instead
     of aborting silently.
     """
-    engine, topology, fleet, _ = build_surge_world(n_servers=40, seed=seed)
-    rpp0_ids = sorted(topology.device("rpp0").load_ids)
-    del engine, fleet
+    rpp0_ids = _surge_server_ids(rows=range(1))
     victims = tuple(rpp0_ids[: max(1, int(len(rpp0_ids) * fraction))])
     specs = [
         FaultSpec(
@@ -383,22 +345,22 @@ def _sensor_blackout(fraction: float, seed: int = 7) -> ChaosRun:
     )
 
 
-def sensor_blackout_30(seed: int = 7) -> ChaosRun:
+def sensor_blackout_30(seed: int = 7) -> World:
     """30% of one row's sensors go dark; estimation carries the cycle."""
     return _sensor_blackout(0.3, seed)
 
 
-def sensor_blackout_50(seed: int = 7) -> ChaosRun:
+def sensor_blackout_50(seed: int = 7) -> World:
     """Half of one row's sensors go dark; estimation carries the cycle."""
     return _sensor_blackout(0.5, seed)
 
 
-def sensor_blackout_70(seed: int = 7) -> ChaosRun:
+def sensor_blackout_70(seed: int = 7) -> World:
     """70% dark: below the estimation floor, the leaf must go SAFE."""
     return _sensor_blackout(0.7, seed)
 
 
-def price_spike_surge(seed: int = 7) -> ChaosRun:
+def price_spike_surge(seed: int = 7) -> World:
     """A power surge lands mid price-spike; breaker safety must win.
 
     The economic governor is shaping bands against an early price spike
@@ -424,20 +386,18 @@ def price_spike_surge(seed: int = 7) -> ChaosRun:
             carbon_signal="carbon-flat",
         )
     )
-    run = build_chaos_run(
+    world = build_chaos_run(
         "price-spike-surge",
         specs,
         seed=seed,
         end_s=1800.0,
         config=config,
     )
-    run.extras["governor"] = EconomicGovernor(
-        run.engine, run.dynamo, run.fleet
-    )
-    return run
+    world.governor = EconomicGovernor(world.engine, world.dynamo, world.fleet)
+    return world
 
 
-def breaker_derate(seed: int = 7) -> ChaosRun:
+def breaker_derate(seed: int = 7) -> World:
     """The SB rating is derated mid-run; capping pulls load under it."""
     specs = [
         FaultSpec(
@@ -527,12 +487,15 @@ def random_campaign_specs(
     return specs
 
 
-def campaign(seed: int = 7, *, n_faults: int = 6) -> ChaosRun:
+def campaign(seed: int = 7, *, n_faults: int = 6) -> World:
     """A seeded random campaign over the fault catalogue."""
-    engine, topology, fleet, rng = build_surge_world(n_servers=40, seed=seed)
-    del engine, topology
+    # Streams depend only on (seed, name): a fresh family draws the
+    # campaign's schedule exactly as the run's own would.
     specs = random_campaign_specs(
-        rng, list(fleet.servers), n_faults=n_faults, horizon_s=900.0
+        RngStreams(seed),
+        _surge_server_ids(),
+        n_faults=n_faults,
+        horizon_s=900.0,
     )
     return build_chaos_run(
         "campaign",
@@ -542,7 +505,7 @@ def campaign(seed: int = 7, *, n_faults: int = 6) -> ChaosRun:
     )
 
 
-CHAOS_SCENARIOS: dict[str, Callable[..., ChaosRun]] = {
+CHAOS_SCENARIOS: dict[str, Callable[..., World]] = {
     "sb-outage": sb_outage,
     "watchdog-restart": watchdog_restart,
     "leaf-controller-crash": leaf_controller_crash,
@@ -557,3 +520,21 @@ CHAOS_SCENARIOS: dict[str, Callable[..., ChaosRun]] = {
     "breaker-derate": breaker_derate,
     "campaign": campaign,
 }
+
+
+def chaos_world(scenario: str, seed: int = 7) -> World:
+    """The named drill ``scenario``, armed: the recipe table's ``chaos`` entry."""
+    try:
+        build = CHAOS_SCENARIOS[scenario]
+    except KeyError:
+        known = ", ".join(sorted(CHAOS_SCENARIOS))
+        raise SnapshotError(
+            f"unknown chaos scenario {scenario!r}; known: {known}"
+        ) from None
+    world = build(seed=seed)
+    world.recipe = {
+        "builder": "chaos",
+        "kwargs": {"scenario": scenario, "seed": seed},
+    }
+    world.start()
+    return world

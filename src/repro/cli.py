@@ -28,6 +28,11 @@ Usage::
     python -m repro signals list
     python -m repro signals price-spike-day
 
+Every verb that takes a scenario takes any world name from the recipe
+table (:func:`repro.state.worlds.world_names`; ``repro list`` prints
+them): quickstart, sized, the four case studies, every chaos drill and
+every econ day.  ``run cascade`` is the one run outside the table.
+
 Each scenario prints a short report; exit code is 0 when the run's
 safety invariant (no breaker trips) holds.  Operational errors exit
 nonzero instead of dumping tracebacks: snapshot problems (missing
@@ -49,41 +54,59 @@ import sys
 import time
 
 from repro.analysis.multidc import build_region
-from repro.analysis.scenarios import (
-    altoona_outage_recovery,
-    ashburn_load_test,
-    mixed_service_row,
-    prineville_hadoop_turbo,
-)
+from repro.state.worlds import build_world, named_recipe, world_names
 from repro.units import hours, to_kilowatts
+from repro.world import World
 
-SCENARIOS = ("quickstart", "ashburn", "altoona", "hadoop", "mixedrow", "cascade")
+
+def _named_world(name: str, **kwargs) -> World:
+    """The armed world called ``name``, built from the recipe table."""
+    return build_world(named_recipe(name, **kwargs))
 
 
-def _quickstart_deployment(seed: int, duration_h: float):
-    """Build, run, and return the quickstart deployment pieces."""
-    from repro.state.worlds import build_quickstart_world
+def _horizon_s(world: World, duration_h: float) -> float:
+    """Where a verb runs ``world`` to.
 
-    world = build_quickstart_world(seed=seed)
-    world.run_until(hours(duration_h))
-    return world.dynamo, world.driver, world.topology
+    A chaos drill runs to the end of its fault schedule; any other
+    world runs ``duration_h`` past its start.
+    """
+    if world.orchestrator is not None and world.end_s is not None:
+        return world.end_s
+    return world.start_s + hours(duration_h)
+
+
+def _ran(args: argparse.Namespace, **kwargs) -> World:
+    """``args.scenario`` built and run to its horizon (:func:`_horizon_s`)."""
+    world = _named_world(args.scenario, seed=args.seed, **kwargs)
+    world.run_until(_horizon_s(world, args.duration_h))
+    return world
+
+
+def _run_named(args: argparse.Namespace) -> int:
+    """Any table world without a report of its own."""
+    world = _ran(args)
+    print(
+        f"ran {world.name!r} to t={world.now_s:.1f}s: power "
+        f"{to_kilowatts(world.topology.total_power_w()):.1f} KW, "
+        f"{world.dynamo.total_cap_events()} cap events, "
+        f"{len(world.driver.trips)} trips"
+    )
+    return 1 if world.driver.trips else 0
 
 
 def _run_quickstart(args: argparse.Namespace) -> int:
-    dynamo, driver, topology = _quickstart_deployment(
-        args.seed, args.duration_h
-    )
+    world = _ran(args)
     print(
-        f"ran {args.duration_h} h: power {to_kilowatts(topology.total_power_w()):.1f} KW, "
-        f"{dynamo.total_cap_events()} cap events, {len(driver.trips)} trips"
+        f"ran {args.duration_h} h: power "
+        f"{to_kilowatts(world.topology.total_power_w()):.1f} KW, "
+        f"{world.dynamo.total_cap_events()} cap events, "
+        f"{len(world.driver.trips)} trips"
     )
-    return 1 if driver.trips else 0
+    return 1 if world.driver.trips else 0
 
 
 def _run_ashburn(args: argparse.Namespace) -> int:
-    scenario = ashburn_load_test(server_count=args.servers, seed=args.seed)
-    scenario.start()
-    scenario.run_until(hours(8) + hours(args.duration_h))
+    scenario = _ran(args, server_count=args.servers)
     controller = scenario.dynamo.leaf_controller("rpp0")
     print(
         f"PDU peak {to_kilowatts(controller.aggregate_series.max()):.1f} KW, "
@@ -94,9 +117,8 @@ def _run_ashburn(args: argparse.Namespace) -> int:
 
 
 def _run_altoona(args: argparse.Namespace) -> int:
-    scenario = altoona_outage_recovery(seed=args.seed)
-    scenario.start()
-    scenario.run_until(hours(14) + 600.0)
+    scenario = _named_world("altoona", seed=args.seed)
+    scenario.run_until(scenario.end_s)
     sb = scenario.dynamo.controller("sb0")
     capped_rows = [
         n
@@ -112,11 +134,7 @@ def _run_altoona(args: argparse.Namespace) -> int:
 
 
 def _run_hadoop(args: argparse.Namespace) -> int:
-    scenario = prineville_hadoop_turbo(
-        server_count=args.servers, seed=args.seed
-    )
-    scenario.start()
-    scenario.run_until(hours(args.duration_h))
+    scenario = _ran(args, server_count=args.servers)
     sb = scenario.dynamo.controller("sb0")
     print(
         f"SB mean {to_kilowatts(sb.aggregate_series.mean()):.1f} / rating "
@@ -128,9 +146,8 @@ def _run_hadoop(args: argparse.Namespace) -> int:
 
 
 def _run_mixedrow(args: argparse.Namespace) -> int:
-    scenario = mixed_service_row(seed=args.seed)
+    scenario = _named_world("mixedrow", seed=args.seed)
     controller = scenario.dynamo.leaf_controller("rpp0")
-    scenario.start()
     trigger_on = hours(13) + 50 * 60
     scenario.engine.schedule_at(
         trigger_on, lambda: controller.set_contractual_limit_w(95_000.0)
@@ -138,7 +155,7 @@ def _run_mixedrow(args: argparse.Namespace) -> int:
     scenario.engine.schedule_at(
         hours(14) + 120, lambda: controller.clear_contractual_limit()
     )
-    scenario.run_until(hours(14) + 600)
+    scenario.run_until(scenario.end_s)
     capped_cache = sum(
         1 for s in scenario.extras["cache_servers"] if s.rapl.capped
     )
@@ -175,14 +192,13 @@ def _run_chaos(args: argparse.Namespace) -> int:
     if args.scenario is None:
         print("chaos run: a scenario name or --resume <snapshot> is required")
         return 2
-    builder = CHAOS_SCENARIOS[args.scenario]
     fingerprints: list[str] = []
     score = None
     for _ in range(1 if args.once else 2):
-        run = builder(seed=args.seed)
-        run.run()
-        fingerprints.append(run.fingerprint())
-        score = build_scorecard(run)
+        world = _named_world(args.scenario, seed=args.seed)
+        world.run_until(world.end_s)
+        fingerprints.append(world.orchestrator.timeline_fingerprint())
+        score = build_scorecard(world)
     assert score is not None
     print(render_scorecard(score))
     deterministic = len(set(fingerprints)) == 1
@@ -210,20 +226,18 @@ def _resume_chaos(args: argparse.Namespace) -> int:
             "'snapshot save --scenario <chaos-scenario>'"
         )
         return 2
-    scenario = snapshot.recipe["kwargs"]["scenario"]
-    if args.scenario is not None and args.scenario != scenario:
+    world = SnapshotRegistry().restore(snapshot)
+    if args.scenario is not None and args.scenario != world.name:
         print(
-            f"snapshot captures scenario {scenario!r}, not {args.scenario!r}"
+            f"snapshot captures scenario {world.name!r}, not {args.scenario!r}"
         )
         return 2
-    world = SnapshotRegistry().restore(snapshot)
-    run = world.extras["chaos_run"]
     print(
-        f"resumed {scenario!r} (seed {snapshot.recipe['kwargs']['seed']}) "
-        f"at t={snapshot.time_s:.1f}s, running to t={run.end_s:.1f}s"
+        f"resumed {world.name!r} (seed {world.rng.seed}) "
+        f"at t={snapshot.time_s:.1f}s, running to t={world.end_s:.1f}s"
     )
-    world.run_until(run.end_s)
-    score = build_scorecard(run)
+    world.run_until(world.end_s)
+    score = build_scorecard(world)
     print(render_scorecard(score))
     return 0 if score.breaker_trips == 0 else 1
 
@@ -232,8 +246,6 @@ def _run_snapshot(args: argparse.Namespace) -> int:
     from repro.state import (
         SnapshotRegistry,
         WorldSnapshot,
-        build_chaos_world,
-        build_quickstart_world,
         fingerprint,
         run_sweep,
         state_digest,
@@ -241,11 +253,8 @@ def _run_snapshot(args: argparse.Namespace) -> int:
 
     registry = SnapshotRegistry()
     if args.snapshot_command == "save":
-        if args.scenario == "quickstart":
-            world = build_quickstart_world(seed=args.seed)
-        else:
-            world = build_chaos_world(args.scenario, seed=args.seed)
-        world.run_until(args.at)
+        world = _named_world(args.scenario, seed=args.seed)
+        world.run_until(world.start_s + args.at)
         snapshot = registry.capture(
             world, include_traces=not args.no_traces
         )
@@ -325,20 +334,7 @@ def _run_snapshot(args: argparse.Namespace) -> int:
 
 
 def _run_trace(args: argparse.Namespace) -> int:
-    from repro.chaos import CHAOS_SCENARIOS
-    from repro.economics.scenarios import ECON_SCENARIOS, run_econ_day
-
-    if args.scenario == "quickstart":
-        dynamo, _, _ = _quickstart_deployment(args.seed, args.duration_h)
-    elif args.scenario in ECON_SCENARIOS:
-        world = run_econ_day(
-            args.scenario, seed=args.seed, duration_s=hours(args.duration_h)
-        )
-        dynamo = world.dynamo
-    else:
-        run = CHAOS_SCENARIOS[args.scenario](seed=args.seed)
-        run.run()
-        dynamo = run.dynamo
+    dynamo = _ran(args).dynamo
     traces = dynamo.traces.for_controller(args.device, args.last)
     if not traces:
         known = ", ".join(dynamo.traces.controllers()) or "none"
@@ -440,30 +436,22 @@ def _run_profile(args: argparse.Namespace) -> int:
     import io
     import pstats
 
-    from repro.state.worlds import (
-        build_chaos_world,
-        build_quickstart_world,
-        build_sized_world,
-    )
+    from repro.state.worlds import build_sized_world
 
     setup: _SetupTable | None = None
-    if args.scenario == "quickstart":
-        if args.servers is not None:
-            setup = _SetupTable()
-            world = build_sized_world(
-                servers=args.servers,
-                seed=args.seed,
-                on_phase=setup.phase_done,
-            )
-        else:
-            world = build_quickstart_world(seed=args.seed)
-        end_s = hours(args.duration_h)
-    else:
-        if args.servers is not None:
+    if args.servers is not None:
+        if args.scenario != "quickstart":
             print("profile: --servers applies to the quickstart scenario only")
             return 1
-        world = build_chaos_world(args.scenario, seed=args.seed)
-        end_s = world.extras["end_s"]
+        setup = _SetupTable()
+        world = build_sized_world(
+            servers=args.servers,
+            seed=args.seed,
+            on_phase=setup.phase_done,
+        )
+    else:
+        world = _named_world(args.scenario, seed=args.seed)
+    end_s = _horizon_s(world, args.duration_h)
     t0 = time.perf_counter()
     if setup is not None:
         leaf_period_s = world.dynamo.config.controller.leaf_pull_interval_s
@@ -537,24 +525,12 @@ def _print_fallback_report(world) -> None:
 
 
 def _run_health(args: argparse.Namespace) -> int:
-    from repro.chaos import CHAOS_SCENARIOS
     from repro.core.agent import agent_endpoint
     from repro.core.failover import FailoverController
     from repro.core.remote import controller_endpoint
-    from repro.economics.scenarios import ECON_SCENARIOS, run_econ_day
     from repro.errors import ConfigurationError
 
-    if args.scenario == "quickstart":
-        dynamo, _, _ = _quickstart_deployment(args.seed, args.duration_h)
-    elif args.scenario in ECON_SCENARIOS:
-        world = run_econ_day(
-            args.scenario, seed=args.seed, duration_s=hours(args.duration_h)
-        )
-        dynamo = world.dynamo
-    else:
-        run = CHAOS_SCENARIOS[args.scenario](seed=args.seed)
-        run.run()
-        dynamo = run.dynamo
+    dynamo = _ran(args).dynamo
     try:
         controller = dynamo.controller(args.device)
     except ConfigurationError:
@@ -637,17 +613,11 @@ def _run_attribute(args: argparse.Namespace) -> int:
     alike, each weighted by its confidence — from the leaf controller's
     reading cache and fitted service models.
     """
-    from repro.chaos import CHAOS_SCENARIOS
     from repro.core.failover import FailoverController
     from repro.errors import ConfigurationError
     from repro.estimation import attribute_leaf, render_attribution
 
-    if args.scenario == "quickstart":
-        dynamo, _, _ = _quickstart_deployment(args.seed, args.duration_h)
-    else:
-        run = CHAOS_SCENARIOS[args.scenario](seed=args.seed)
-        run.run()
-        dynamo = run.dynamo
+    dynamo = _ran(args).dynamo
     leaves = ", ".join(sorted(dynamo.hierarchy.leaf_controllers))
     try:
         controller = dynamo.controller(args.device)
@@ -768,6 +738,7 @@ def _run_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+#: ``repro run`` reports; every other table world gets :func:`_run_named`.
 _RUNNERS = {
     "quickstart": _run_quickstart,
     "ashburn": _run_ashburn,
@@ -785,10 +756,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Dynamo (ISCA 2016) reproduction scenarios",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    worlds = world_names()
     sub.add_parser("list", help="list available scenarios")
     run = sub.add_parser("run", help="run one scenario")
-    run.add_argument("scenario", choices=SCENARIOS)
-    run.add_argument("--servers", type=int, default=150)
+    run.add_argument("scenario", choices=[*worlds, "cascade"])
+    run.add_argument(
+        "--servers", type=int, default=150, help="fleet size (ashburn, hadoop)"
+    )
     run.add_argument("--duration-h", type=float, default=1.0)
     run.add_argument("--seed", type=int, default=0)
     run.add_argument(
@@ -833,13 +807,14 @@ def build_parser() -> argparse.ArgumentParser:
         "save", help="run a world to a point in time and checkpoint it"
     )
     snap_save.add_argument(
-        "--scenario",
-        default="quickstart",
-        choices=["quickstart", *sorted(CHAOS_SCENARIOS)],
+        "--scenario", default="quickstart", choices=worlds
     )
     snap_save.add_argument("--seed", type=int, default=0)
     snap_save.add_argument(
-        "--at", type=float, default=60.0, help="capture time (sim seconds)"
+        "--at",
+        type=float,
+        default=60.0,
+        help="capture time (sim seconds after the world's start)",
     )
     snap_save.add_argument("--out", required=True, help="snapshot file path")
     snap_save.add_argument(
@@ -890,11 +865,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument(
         "--scenario",
         default="quickstart",
-        choices=[
-            "quickstart",
-            *sorted(CHAOS_SCENARIOS),
-            *sorted(ECON_SCENARIOS),
-        ],
+        choices=worlds,
         help="scenario to run before dumping traces",
     )
     trace.add_argument("--seed", type=int, default=0)
@@ -910,7 +881,7 @@ def build_parser() -> argparse.ArgumentParser:
         "scenario",
         nargs="?",
         default="quickstart",
-        choices=["quickstart", *sorted(CHAOS_SCENARIOS)],
+        choices=worlds,
         help="scenario to profile (default: quickstart)",
     )
     profile.add_argument("--seed", type=int, default=0)
@@ -918,7 +889,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--duration-h",
         type=float,
         default=0.25,
-        help="quickstart scenario only: simulated duration",
+        help="simulated hours past the world's start (a chaos drill "
+        "runs its whole schedule)",
     )
     profile.add_argument(
         "--servers",
@@ -942,11 +914,7 @@ def build_parser() -> argparse.ArgumentParser:
     health.add_argument(
         "--scenario",
         default="quickstart",
-        choices=[
-            "quickstart",
-            *sorted(CHAOS_SCENARIOS),
-            *sorted(ECON_SCENARIOS),
-        ],
+        choices=worlds,
         help="scenario to run before reporting health",
     )
     health.add_argument("--seed", type=int, default=0)
@@ -961,7 +929,7 @@ def build_parser() -> argparse.ArgumentParser:
     attribute.add_argument(
         "--scenario",
         default="sensor-blackout-50",
-        choices=["quickstart", *sorted(CHAOS_SCENARIOS)],
+        choices=worlds,
         help="scenario to run before attributing power",
     )
     attribute.add_argument("--seed", type=int, default=7)
@@ -1039,7 +1007,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "list":
-        for name in SCENARIOS:
+        for name in [*world_names(), "cascade"]:
             print(name)
         return 0
     if args.command == "chaos":
@@ -1060,7 +1028,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _run_signals(args)
     if args.command == "serve":
         return _run_serve(args)
-    return _RUNNERS[args.scenario](args)
+    return _RUNNERS.get(args.scenario, _run_named)(args)
 
 
 def main(argv: list[str] | None = None) -> int:

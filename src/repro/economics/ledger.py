@@ -19,7 +19,7 @@ from repro.analysis.report import Table
 from repro.units import format_duration
 
 if TYPE_CHECKING:
-    from repro.state.worlds import World
+    from repro.world import World
 
 
 @dataclass(frozen=True)
@@ -181,11 +181,11 @@ def build_econ_scorecard(world: "World") -> EconScore:
     if governor is None:
         raise ValueError("world has no economic governor to score")
     ledger = governor.ledger
-    kwargs = world.recipe.get("kwargs", {})
+    kwargs = (world.recipe or {}).get("kwargs", {})
     duration_s = float(world.now_s)
     mean_price = ledger.cost / ledger.energy_kwh if ledger.energy_kwh else 0.0
     return EconScore(
-        scenario=str(world.extras.get("scenario", kwargs.get("scenario", "?"))),
+        scenario=world.name,
         seed=int(kwargs.get("seed", 0)),
         governed=bool(kwargs.get("governed", governor.shaping)),
         duration_s=duration_s,

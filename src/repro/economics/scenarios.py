@@ -15,16 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.config import DynamoConfig, EconomicsConfig
-from repro.core.dynamo import Dynamo
 from repro.economics.governor import EconomicGovernor
 from repro.errors import ConfigurationError
-from repro.fleet import FleetDriver, ServiceAllocation, populate_fleet
-from repro.power.builder import DataCenterSpec, build_datacenter
-from repro.power.oversubscription import plan_quotas
-from repro.simulation.engine import SimulationEngine
-from repro.simulation.rng import RngStreams
-from repro.state.worlds import World
+from repro.fleet import ServiceAllocation
 from repro.units import SECONDS_PER_DAY
+from repro.world import World, datacenter_world
 
 
 @dataclass(frozen=True)
@@ -86,47 +81,16 @@ def build_econ_world(
     seed: int = 0,
     governed: bool = True,
 ) -> World:
-    """Build an economics world, armed and started at t=0.
+    """An economics world, armed at t=0: the recipe table's ``econ`` entry.
 
     The quickstart topology with a deferrable batch tier: 16 web +
     8 cache servers plus 12 hadoop servers with Turbo granted — the
     headroom the governor can revoke during expensive hours.
     """
     spec = get_econ_scenario(scenario)
-    engine = SimulationEngine()
-    topology = build_datacenter(
-        DataCenterSpec(
-            msb_count=1, sbs_per_msb=2, rpps_per_sb=2, racks_per_rpp=3
-        )
-    )
-    plan_quotas(topology)
-    rng = RngStreams(seed)
-    fleet = populate_fleet(
-        topology,
-        [
-            ServiceAllocation("web", 16),
-            ServiceAllocation("cache", 8),
-            ServiceAllocation("hadoop", 12, turbo_enabled=True),
-        ],
-        rng,
-    )
-    config = DynamoConfig(
-        economics=EconomicsConfig(
-            enabled=True,
-            price_signal=spec.price_signal,
-            carbon_signal=spec.carbon_signal,
-        )
-    )
-    dynamo = Dynamo(
-        engine, topology, fleet, config=config, rng_streams=rng.fork("dynamo")
-    )
-    driver = FleetDriver(engine, topology, fleet)
-    governor = EconomicGovernor(engine, dynamo, fleet, shaping=governed)
-    driver.start()
-    dynamo.start()
-    governor.start()
-    return World(
-        recipe={
+    world = datacenter_world(
+        scenario,
+        {
             "builder": "econ",
             "kwargs": {
                 "scenario": scenario,
@@ -134,15 +98,26 @@ def build_econ_world(
                 "governed": governed,
             },
         },
-        engine=engine,
-        topology=topology,
-        fleet=fleet,
-        dynamo=dynamo,
-        driver=driver,
-        rng=rng,
-        governor=governor,
-        extras={"scenario": scenario, "end_s": spec.end_s},
+        [
+            ServiceAllocation("web", 16),
+            ServiceAllocation("cache", 8),
+            ServiceAllocation("hadoop", 12, turbo_enabled=True),
+        ],
+        seed=seed,
+        config=DynamoConfig(
+            economics=EconomicsConfig(
+                enabled=True,
+                price_signal=spec.price_signal,
+                carbon_signal=spec.carbon_signal,
+            )
+        ),
     )
+    world.governor = EconomicGovernor(
+        world.engine, world.dynamo, world.fleet, shaping=governed
+    )
+    world.end_s = spec.end_s
+    world.start()
+    return world
 
 
 def run_econ_day(
@@ -154,7 +129,7 @@ def run_econ_day(
 ) -> World:
     """Build an economics world and run it to the scenario's end."""
     world = build_econ_world(scenario=scenario, seed=seed, governed=governed)
-    end_s = duration_s if duration_s is not None else world.extras["end_s"]
+    end_s = get_econ_scenario(scenario).end_s if duration_s is None else duration_s
     world.run_until(float(end_s))
     return world
 

@@ -52,12 +52,8 @@ from repro.errors import ServeError, UnknownSessionError
 from repro.state.fork import fork_branch
 from repro.state.registry import SnapshotRegistry
 from repro.state.snapshot import WorldSnapshot, fingerprint
-from repro.state.worlds import (
-    World,
-    build_chaos_world,
-    build_quickstart_world,
-    build_world,
-)
+from repro.state.worlds import build_world, named_recipe
+from repro.world import World
 from repro.telemetry.events import EventLog
 
 #: Fault kinds whose targets name power devices rather than fleet
@@ -382,18 +378,14 @@ class Session:
         self.ticker.stop()
 
 
-#: Scenario names the manager accepts for ``{"scenario": ...}`` creates.
-QUICKSTART = "quickstart"
-
-
 class SessionManager:
     """Creates, indexes, and tears down isolated sessions.
 
     Creation requests are plain dicts (the POST body of the create
     endpoint); exactly one origin key picks the path:
 
-    * ``{"scenario": name, "seed": ...}`` — build a named world
-      (``quickstart`` or any chaos scenario).
+    * ``{"scenario": name, "seed": ...}`` — build a named world (any
+      name :func:`~repro.state.worlds.named_recipe` resolves).
     * ``{"recipe": {...}}`` — any full world recipe
       (:func:`~repro.state.worlds.build_world`).
     * ``{"snapshot_path": p}`` / ``{"snapshot": envelope}`` — restore a
@@ -449,10 +441,7 @@ class SessionManager:
         if origin == "scenario":
             name = str(spec["scenario"])
             seed = int(spec.get("seed", 0))
-            if name == QUICKSTART:
-                world = build_quickstart_world(seed=seed)
-            else:
-                world = build_chaos_world(name, seed=seed)
+            world = build_world(named_recipe(name, seed=seed))
             return world, {"scenario": name, "seed": seed}
         if origin == "recipe":
             recipe = spec["recipe"]

@@ -10,8 +10,8 @@ Public surface:
   ``capture`` a snapshot and ``restore`` one bit-exactly.
 * :class:`~repro.state.registry.Snapshotable` — the protocol every
   stateful component implements.
-* :mod:`~repro.state.worlds` — recipe builders (``build_world``,
-  ``build_quickstart_world``, ``build_chaos_world``).
+* :mod:`~repro.state.worlds` — the recipe table (``WORLD_BUILDERS``),
+  the name resolver (``named_recipe``) and ``build_world``.
 * :mod:`~repro.state.fork` — ``fork_world`` branch cloning and
   ``run_sweep`` parallel scenario sweeps.
 """
@@ -36,9 +36,10 @@ from repro.state.snapshot import (
 from repro.state.worlds import (
     WORLD_BUILDERS,
     World,
-    build_chaos_world,
     build_quickstart_world,
     build_world,
+    named_recipe,
+    world_names,
 )
 
 __all__ = [
@@ -49,7 +50,6 @@ __all__ = [
     "Snapshotable",
     "World",
     "WorldSnapshot",
-    "build_chaos_world",
     "build_quickstart_world",
     "build_world",
     "canonical_json",
@@ -57,8 +57,10 @@ __all__ = [
     "fork_branch",
     "fork_inprocess",
     "fork_world",
+    "named_recipe",
     "run_branch",
     "run_sweep",
     "shutdown_sweep_pool",
     "state_digest",
+    "world_names",
 ]

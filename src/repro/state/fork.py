@@ -28,7 +28,7 @@ from typing import Callable
 
 from repro.state.registry import SnapshotRegistry, _controller_entries
 from repro.state.snapshot import WorldSnapshot, fingerprint
-from repro.state.worlds import World
+from repro.world import World
 
 
 def fork_branch(

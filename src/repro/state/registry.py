@@ -1,7 +1,7 @@
 """The snapshot registry: walk a world, capture state, restore bit-exact.
 
 Capture walks every stateful component of a built
-:class:`~repro.state.worlds.World` — simulation clock and counters, every
+:class:`~repro.world.World` — simulation clock and counters, every
 RNG stream, server physics and estimator caches, device and breaker
 thermal state, controller band/mode/ledger state, endpoint health,
 transports, agents, watchdog backoff ladders, telemetry, and (when a
@@ -32,7 +32,8 @@ from repro.core.remote import RemoteChildController
 from repro.errors import SnapshotError
 from repro.simulation.process import PeriodicProcess
 from repro.state.snapshot import SCHEMA_VERSION, WorldSnapshot
-from repro.state.worlds import World, build_world
+from repro.state.worlds import build_world
+from repro.world import World
 
 
 @runtime_checkable
@@ -100,10 +101,17 @@ class SnapshotRegistry:
         """Walk the world and capture a :class:`WorldSnapshot`.
 
         Raises:
-            SnapshotError: the world holds pending events the registry
-                does not know how to re-register (a custom one-shot
-                schedule), or its structure defies the walk.
+            SnapshotError: the world has no recipe to rebuild it from,
+                holds pending events the registry does not know how to
+                re-register (a custom one-shot schedule), or its
+                structure defies the walk.
         """
+        recipe, rng = world.recipe, world.rng
+        if recipe is None or rng is None:
+            raise SnapshotError(
+                f"world {world.name!r} has no recipe to rebuild it from; "
+                "build it from the recipe table to snapshot it"
+            )
         if include_traces is None:
             include_traces = world.dynamo.config.snapshot.include_traces
         # The vectorized backend prefetches RNG draws speculatively;
@@ -117,7 +125,7 @@ class SnapshotRegistry:
             dynamo.agent_batch.sync()
         state: dict = {
             "engine": world.engine.snapshot_state(),
-            "rng": world.rng.snapshot_state(),
+            "rng": rng.snapshot_state(),
             "servers": {
                 server_id: server.snapshot_state()
                 for server_id, server in world.fleet.servers.items()
@@ -174,7 +182,7 @@ class SnapshotRegistry:
             state["economics"] = world.governor.snapshot_state()
         self._check_pending_coverage(world, state)
         return WorldSnapshot(
-            recipe=dict(world.recipe),
+            recipe=dict(recipe),
             state=state,
             schema_version=SCHEMA_VERSION,
             meta={"time_s": world.now_s},
@@ -254,6 +262,7 @@ class SnapshotRegistry:
         # Disarm everything the builder scheduled, then move the clock.
         world.engine.clear_pending()
         world.engine.restore_state(state["engine"])
+        assert world.rng is not None  # every table builder records it
         world.rng.restore_state(state["rng"])
 
         self._restore_keyed(

@@ -122,7 +122,8 @@ class WorldSnapshot:
         integrity guarantees as the file path.
 
         Raises:
-            SnapshotError: not a snapshot envelope.
+            SnapshotError: not a snapshot envelope, or one whose
+                version, recipe or state is malformed.
             SnapshotVersionError: written by an incompatible schema.
             SnapshotIntegrityError: state payload does not match the
                 recorded content hash.
@@ -134,10 +135,28 @@ class WorldSnapshot:
             raise SnapshotError(
                 f"{origin} is not a {FORMAT_MARKER!r} envelope"
             )
-        version = int(envelope.get("schema_version", -1))
+        raw_version = envelope.get("schema_version", -1)
+        try:
+            version = int(raw_version)
+        except (TypeError, ValueError):
+            raise SnapshotError(
+                f"{origin} has a malformed schema_version {raw_version!r}"
+            ) from None
         if version != SCHEMA_VERSION:
             raise SnapshotVersionError(version, SCHEMA_VERSION)
-        state = envelope["state"]
+        # The integrity hash covers the state only, so the recipe's
+        # shape is checked here; build_world checks its kwargs.
+        recipe = envelope.get("recipe")
+        if not isinstance(recipe, dict) or not isinstance(
+            recipe.get("builder"), str
+        ):
+            raise SnapshotError(
+                f"{origin} has a malformed recipe {recipe!r}; expected "
+                "{'builder': <name>, 'kwargs': {...}}"
+            )
+        state = envelope.get("state")
+        if not isinstance(state, dict):
+            raise SnapshotError(f"{origin} has no state payload")
         recorded = envelope.get("integrity", "")
         actual = state_digest(state)
         if recorded != actual:
@@ -146,7 +165,7 @@ class WorldSnapshot:
                 f"recorded {recorded}, computed {actual}"
             )
         return cls(
-            recipe=envelope["recipe"],
+            recipe=recipe,
             state=state,
             schema_version=version,
             meta=envelope.get("meta", {}),

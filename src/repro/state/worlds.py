@@ -1,4 +1,4 @@
-"""Recipe-built worlds: the unit a snapshot captures and restores.
+"""The recipe table: every named world, built armed from plain data.
 
 A snapshot never serializes object graphs or event closures — it stores
 a *recipe* (builder name + kwargs) that deterministically rebuilds the
@@ -7,97 +7,51 @@ mutable state.  Anything a builder wires (topology, servers, agents,
 controller hierarchy, armed schedules) therefore never needs to be in
 the snapshot; only what time and randomness have changed does.
 
-Builders:
+:data:`WORLD_BUILDERS` maps a builder name to a builder returning an
+armed :class:`~repro.world.World`:
 
-* ``quickstart`` — the CLI's default deployment: a 1-MSB datacenter,
-  36 web/cache servers, Dynamo started, fleet driver running.
-* ``sized`` — the quickstart shape scaled to an arbitrary server
-  count (profiling and control-plane benchmarks).
-* ``chaos`` — any named scenario from
-  :data:`repro.chaos.scenarios.CHAOS_SCENARIOS`, fully armed (fault
-  schedule + health probe) and started.
-* ``econ`` — any named scenario from
-  :data:`repro.economics.scenarios.ECON_SCENARIOS`: the quickstart
-  shape plus a deferrable batch tier, governed (or metered) by an
-  :class:`~repro.economics.governor.EconomicGovernor`.
+* ``quickstart`` — the CLI's default 36-server datacenter; ``sized``
+  scales that shape to any server count.
+* ``ashburn``, ``altoona``, ``hadoop``, ``mixedrow`` — the paper's case
+  studies (Figs. 11, 12, 14, 15/16), :mod:`repro.analysis.scenarios`.
+* ``chaos`` and ``econ`` — families: ``kwargs["scenario"]`` names a
+  drill in :data:`~repro.chaos.scenarios.CHAOS_SCENARIOS` or a day in
+  :data:`~repro.economics.scenarios.ECON_SCENARIOS`.
+
+:func:`named_recipe` is the one resolver from a world *name* — what
+``repro list`` prints and every ``--scenario`` accepts — to a recipe:
+a builder is named by its key, a family by each name in its catalogue.
 """
 
 from __future__ import annotations
 
 import inspect
 from collections.abc import Mapping
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
-from repro.chaos.orchestrator import ChaosOrchestrator
-from repro.core.dynamo import Dynamo
-from repro.errors import SnapshotError
-from repro.fleet import Fleet, FleetDriver
-from repro.power.topology import PowerTopology
-from repro.simulation.engine import SimulationEngine
-from repro.simulation.rng import RngStreams
-
-if TYPE_CHECKING:
-    from repro.economics.governor import EconomicGovernor
-
-
-@dataclass
-class World:
-    """One built, armed deployment plus the recipe that rebuilds it."""
-
-    recipe: dict
-    engine: SimulationEngine
-    topology: PowerTopology
-    fleet: Fleet
-    dynamo: Dynamo
-    driver: FleetDriver
-    rng: RngStreams
-    orchestrator: ChaosOrchestrator | None = None
-    governor: "EconomicGovernor | None" = None
-    extras: dict = field(default_factory=dict)
-
-    def run_until(self, end_s: float) -> None:
-        """Advance the world to ``end_s``."""
-        self.engine.run_until(end_s)
-
-    @property
-    def now_s(self) -> float:
-        """Current simulation time."""
-        return self.engine.clock.now
+from repro.analysis.scenarios import (
+    altoona_world,
+    ashburn_world,
+    hadoop_world,
+    mixedrow_world,
+)
+from repro.chaos.scenarios import CHAOS_SCENARIOS, chaos_world
+from repro.economics.scenarios import ECON_SCENARIOS, build_econ_world
+from repro.errors import ConfigurationError, SnapshotError
+from repro.fleet import ServiceAllocation
+from repro.world import World, datacenter_world
 
 
 def build_quickstart_world(seed: int = 0) -> World:
     """The CLI quickstart deployment, armed at t=0."""
-    from repro.fleet import ServiceAllocation, populate_fleet
-    from repro.power.builder import DataCenterSpec, build_datacenter
-    from repro.power.oversubscription import plan_quotas
-
-    engine = SimulationEngine()
-    topology = build_datacenter(
-        DataCenterSpec(
-            msb_count=1, sbs_per_msb=2, rpps_per_sb=2, racks_per_rpp=3
-        )
-    )
-    plan_quotas(topology)
-    rng = RngStreams(seed)
-    fleet = populate_fleet(
-        topology,
+    world = datacenter_world(
+        "quickstart",
+        {"builder": "quickstart", "kwargs": {"seed": seed}},
         [ServiceAllocation("web", 24), ServiceAllocation("cache", 12)],
-        rng,
+        seed=seed,
     )
-    dynamo = Dynamo(engine, topology, fleet, rng_streams=rng.fork("dynamo"))
-    driver = FleetDriver(engine, topology, fleet)
-    driver.start()
-    dynamo.start()
-    return World(
-        recipe={"builder": "quickstart", "kwargs": {"seed": seed}},
-        engine=engine,
-        topology=topology,
-        fleet=fleet,
-        dynamo=dynamo,
-        driver=driver,
-        rng=rng,
-    )
+    world.start()
+    return world
 
 
 def build_sized_world(
@@ -105,7 +59,7 @@ def build_sized_world(
     seed: int = 0,
     on_phase: Callable[[str], None] | None = None,
 ) -> World:
-    """A parametric-size deployment for profiling and benchmarks.
+    """A parametric-size deployment for profiling and benchmarks, armed.
 
     Lays ``servers`` machines (2:1 web:cache) across a topology that
     scales its RPP fan-out with fleet size, so leaf controllers keep a
@@ -115,129 +69,90 @@ def build_sized_world(
     completes (``repro profile``'s set-up table); it is not part of the
     recipe.
     """
-    from repro.fleet import ServiceAllocation, populate_fleet
-    from repro.power.builder import DataCenterSpec, build_datacenter
-    from repro.power.oversubscription import plan_quotas
-
-    engine = SimulationEngine()
-    rpps_per_sb = max(2, min(16, servers // 400))
-    topology = build_datacenter(
-        DataCenterSpec(
-            msb_count=1,
-            sbs_per_msb=2,
-            rpps_per_sb=rpps_per_sb,
-            racks_per_rpp=3,
-        )
-    )
-    plan_quotas(topology)
-    done = on_phase or (lambda phase: None)
-    done("topology")
-    rng = RngStreams(seed)
     web = (servers * 2) // 3
-    fleet = populate_fleet(
-        topology,
+    world = datacenter_world(
+        "sized",
+        {"builder": "sized", "kwargs": {"servers": servers, "seed": seed}},
         [
             ServiceAllocation("web", web),
             ServiceAllocation("cache", servers - web),
         ],
-        rng,
+        seed=seed,
+        rpps_per_sb=max(2, min(16, servers // 400)),
+        on_phase=on_phase,
     )
-    done("populate")
-    dynamo = Dynamo(engine, topology, fleet, rng_streams=rng.fork("dynamo"))
-    done("Dynamo")
-    driver = FleetDriver(engine, topology, fleet)
-    done("stepper bind")
-    driver.start()
-    dynamo.start()  # attaches the batched control plane
-    done("agent-batch bind")
-    return World(
-        recipe={
-            "builder": "sized",
-            "kwargs": {"servers": servers, "seed": seed},
-        },
-        engine=engine,
-        topology=topology,
-        fleet=fleet,
-        dynamo=dynamo,
-        driver=driver,
-        rng=rng,
-    )
-
-
-def build_chaos_world(scenario: str, seed: int = 7) -> World:
-    """A named chaos scenario, armed and started at t=0.
-
-    The underlying :class:`~repro.chaos.scenarios.ChaosRun` rides in
-    ``extras["chaos_run"]`` so the scorecard can be built after a
-    resumed campaign finishes.
-    """
-    from repro.chaos.scenarios import CHAOS_SCENARIOS
-
-    try:
-        builder = CHAOS_SCENARIOS[scenario]
-    except KeyError:
-        known = ", ".join(sorted(CHAOS_SCENARIOS))
-        raise SnapshotError(
-            f"unknown chaos scenario {scenario!r}; known: {known}"
-        ) from None
-    run = builder(seed=seed)
-    run.start()
-    return World(
-        recipe={
-            "builder": "chaos",
-            "kwargs": {"scenario": scenario, "seed": seed},
-        },
-        engine=run.engine,
-        topology=run.topology,
-        fleet=run.fleet,
-        dynamo=run.dynamo,
-        driver=run.driver,
-        rng=run.rng,
-        orchestrator=run.orchestrator,
-        governor=run.extras.get("governor"),
-        extras={"chaos_run": run, "end_s": run.end_s},
-    )
-
-
-def build_econ_world(
-    scenario: str = "price-spike-day",
-    seed: int = 0,
-    governed: bool = True,
-) -> World:
-    """A named economics scenario, governed and started at t=0.
-
-    Thin registry wrapper; the real builder lives with the economics
-    package (imported lazily to keep this module cycle-free).
-    """
-    from repro.economics.scenarios import build_econ_world as build
-
-    return build(scenario=scenario, seed=seed, governed=governed)
+    world.start()  # attaches the batched control plane
+    if on_phase is not None:
+        on_phase("agent-batch bind")
+    return world
 
 
 WORLD_BUILDERS: dict[str, Callable[..., World]] = {
     "quickstart": build_quickstart_world,
     "sized": build_sized_world,
-    "chaos": build_chaos_world,
+    "ashburn": ashburn_world,
+    "altoona": altoona_world,
+    "hadoop": hadoop_world,
+    "mixedrow": mixedrow_world,
+    "chaos": chaos_world,
     "econ": build_econ_world,
 }
 
+#: Family builders and the catalogue whose names they build.
+_FAMILIES: dict[str, Mapping] = {
+    "chaos": CHAOS_SCENARIOS,
+    "econ": ECON_SCENARIOS,
+}
+
+
+def world_names() -> list[str]:
+    """Every name :func:`named_recipe` resolves, in table order."""
+    names: list[str] = []
+    for builder in WORLD_BUILDERS:
+        family = _FAMILIES.get(builder)
+        names.extend([builder] if family is None else sorted(family))
+    return names
+
+
+def named_recipe(name: str, **kwargs) -> dict:
+    """The recipe that builds the world called ``name``.
+
+    ``kwargs`` (a seed, a server count) pass through to the builder;
+    :func:`build_world` checks them against its signature.
+
+    Raises:
+        ConfigurationError: no world has that name.
+    """
+    for builder, family in _FAMILIES.items():
+        if name in family:
+            return {"builder": builder, "kwargs": {"scenario": name, **kwargs}}
+    names = world_names()
+    if name not in names:
+        raise ConfigurationError(
+            f"unknown world {name!r}; known: {', '.join(names)}"
+        )
+    return {"builder": name, "kwargs": kwargs}
+
 
 def build_world(recipe: dict) -> World:
-    """Rebuild a world from a snapshot recipe.
+    """Build the armed world a recipe names.
 
-    The recipe's kwargs must bind to the builder's signature; anything
-    else (an unknown or missing key, a non-mapping) is a malformed
-    recipe and raises :class:`SnapshotError` naming the problem.
+    The recipe must be a mapping with a known ``builder`` whose kwargs
+    bind to that builder's signature; anything else (an unknown or
+    missing key, a non-mapping) is a malformed recipe and raises
+    :class:`SnapshotError` naming the problem.
     """
-    try:
-        name = str(recipe["builder"])
-        builder = WORLD_BUILDERS[name]
-    except KeyError:
-        known = ", ".join(sorted(WORLD_BUILDERS))
+    if not isinstance(recipe, Mapping):
         raise SnapshotError(
-            f"unknown world builder {recipe.get('builder')!r}; "
-            f"known: {known}"
-        ) from None
+            f"recipe must be a mapping, not {type(recipe).__name__}"
+        )
+    name = recipe.get("builder")
+    builder = WORLD_BUILDERS.get(name) if isinstance(name, str) else None
+    if builder is None:
+        raise SnapshotError(
+            f"unknown world builder {name!r}; "
+            f"known: {', '.join(sorted(WORLD_BUILDERS))}"
+        )
     kwargs = recipe.get("kwargs", {})
     if not isinstance(kwargs, Mapping):
         raise SnapshotError(

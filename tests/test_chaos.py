@@ -83,7 +83,8 @@ class TestFaultBehaviour:
         run.engine.schedule_at(9.0, lambda: peek("before"))
         run.engine.schedule_at(15.0, lambda: peek("during"), priority=99)
         run.engine.schedule_at(31.0, lambda: peek("after"))
-        run.run()
+        run.start()
+        run.run_until(run.end_s)
         assert observed == {"before": False, "during": True, "after": False}
 
     def test_breaker_derate_scales_and_restores_rating(self):
@@ -106,7 +107,8 @@ class TestFaultBehaviour:
         run.engine.schedule_at(
             15.0, lambda: mid.update(rating=device.rated_power_w), priority=99
         )
-        run.run()
+        run.start()
+        run.run_until(run.end_s)
         assert mid["rating"] == pytest.approx(original * 0.5)
         assert device.rated_power_w == pytest.approx(original)
         assert device.breaker.rated_power_w == pytest.approx(
@@ -134,7 +136,8 @@ class TestFaultBehaviour:
 
         run.engine.schedule_at(15.0, lambda: sample("a"), priority=99)
         run.engine.schedule_at(30.0, lambda: sample("b"), priority=99)
-        run.run()
+        run.start()
+        run.run_until(run.end_s)
         # Frozen: both mid-fault reads returned the identical value.
         assert readings["a"] == readings["b"]
         # Restored: live sensor is back and tracks true power again.
@@ -148,11 +151,14 @@ class TestFaultBehaviour:
 class TestReplayDeterminism:
     def test_same_seed_identical_timeline(self):
         first = CHAOS_SCENARIOS["campaign"](seed=13)
-        first.run()
+        first.start()
+        first.run_until(first.end_s)
         second = CHAOS_SCENARIOS["campaign"](seed=13)
-        second.run()
-        assert first.fingerprint() == second.fingerprint()
-        assert len(first.fingerprint().splitlines()) >= 6
+        second.start()
+        second.run_until(second.end_s)
+        timeline = first.orchestrator.timeline_fingerprint()
+        assert timeline == second.orchestrator.timeline_fingerprint()
+        assert len(timeline.splitlines()) >= 6
 
     def test_different_seed_different_campaign(self):
         a = random_campaign_specs(RngStreams(1), ["s0", "s1", "s2", "s3"])
@@ -171,7 +177,8 @@ class TestReplayDeterminism:
             FaultSpec(kind="agent-crash", start_s=21.0, targets=("s0-0",)),
         ]
         run = build_chaos_run("t", specs, end_s=60.0)
-        run.run()
+        run.start()
+        run.run_until(run.end_s)
         events = run.orchestrator.events.events
         stamped = [(e.time_s, e.kind) for e in events]
         assert stamped == [
@@ -187,7 +194,8 @@ class TestSbOutageRideThrough:
     @pytest.fixture(scope="class")
     def run(self):
         scenario = CHAOS_SCENARIOS["sb-outage"](seed=7)
-        scenario.run()
+        scenario.start()
+        scenario.run_until(scenario.end_s)
         return scenario
 
     def test_capping_engaged_and_released(self, run):
@@ -221,7 +229,8 @@ class TestFlakyFabricRecovery:
     @pytest.fixture(scope="class")
     def run(self):
         scenario = CHAOS_SCENARIOS["flaky-fabric-recovery"](seed=7)
-        scenario.run()
+        scenario.start()
+        scenario.run_until(scenario.end_s)
         return scenario
 
     def test_retries_rescue_the_fabric(self, run):
@@ -271,5 +280,5 @@ class TestScenarioRegistry:
         for name, builder in CHAOS_SCENARIOS.items():
             run = builder(seed=3)
             assert run.name == name
-            assert run.specs or name == "campaign"
+            assert run.orchestrator.faults or name == "campaign"
             assert run.end_s > 0

@@ -2,15 +2,28 @@
 
 import pytest
 
-from repro.cli import SCENARIOS, build_parser, main
+from repro.cli import build_parser, main
+from repro.state import world_names
 
 
 class TestParser:
     def test_list_command(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        for name in SCENARIOS:
-            assert name in out
+        assert out.split() == [*world_names(), "cascade"]
+
+    def test_every_verb_takes_every_world_name(self):
+        parser = build_parser()
+        for name in world_names():
+            for argv in (
+                ["run", name],
+                ["snapshot", "save", "--scenario", name, "--out", "x"],
+                ["trace", "rpp0", "--scenario", name],
+                ["profile", name],
+                ["health", "rpp0", "--scenario", name],
+                ["attribute", "rpp0", "--scenario", name],
+            ):
+                parser.parse_args(argv)
 
     def test_run_requires_scenario(self):
         parser = build_parser()
@@ -351,6 +364,42 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert "bogus" in err
+        assert "Traceback" not in err
+
+    @pytest.fixture(scope="class")
+    def chaos_envelope(self):
+        from repro.state import SnapshotRegistry, build_world, named_recipe
+
+        world = build_world(named_recipe("sb-outage", seed=7))
+        world.run_until(30.0)
+        return SnapshotRegistry().capture(world).to_envelope()
+
+    @pytest.mark.parametrize(
+        "verb", [["snapshot", "restore"], ["chaos", "run", "--resume"]]
+    )
+    @pytest.mark.parametrize(
+        "damage, named",
+        [
+            (lambda e: e.pop("recipe"), "malformed recipe None"),
+            (lambda e: e.update(recipe=["chaos"]), "malformed recipe ['chaos']"),
+            (lambda e: e.update(schema_version="x"), "malformed schema_version"),
+            (lambda e: e["recipe"]["kwargs"].pop("scenario"), "scenario"),
+        ],
+        ids=["no-recipe", "list-recipe", "text-version", "no-scenario"],
+    )
+    def test_malformed_envelope_exits_2(
+        self, capsys, tmp_path, chaos_envelope, verb, damage, named
+    ):
+        import copy
+        import json
+
+        envelope = copy.deepcopy(chaos_envelope)
+        damage(envelope)
+        path = tmp_path / "snap.json"
+        path.write_text(json.dumps(envelope))
+        assert main([*verb, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "repro: snapshot error" in err and named in err
         assert "Traceback" not in err
 
     def test_schema_version_mismatch_exits_2(self, capsys, tmp_path):

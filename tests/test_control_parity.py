@@ -224,10 +224,11 @@ def test_estimation_enabled_matches_golden_fingerprint():
     )
 
 
-def _blackout_fingerprint(run) -> str:
+def _blackout_fingerprint(world) -> str:
     """Per-tick fingerprint of the dark row's controller in a blackout."""
-    run.run()
-    dynamo = run.dynamo
+    world.start()
+    world.run_until(world.end_s)
+    dynamo = world.dynamo
     lines = [t.render() for t in dynamo.traces.for_controller("rpp0")]
     lines.append(
         f"cap={dynamo.total_cap_events()} "

@@ -196,7 +196,8 @@ class TestSensorDegradedPosture:
 class TestBlackoutEndToEnd:
     def test_leaf_keeps_capping_through_50pct_blackout(self):
         run = CHAOS_SCENARIOS["sensor-blackout-50"](seed=7)
-        run.run()
+        run.start()
+        run.run_until(run.end_s)
         score = build_scorecard(run)
         assert score.breaker_trips == 0
         assert score.aggregation_aborts == 0
@@ -221,7 +222,8 @@ class TestBlackoutEndToEnd:
 
     def test_70pct_blackout_degrades_to_safe_loudly(self):
         run = CHAOS_SCENARIOS["sensor-blackout-70"](seed=7)
-        run.run()
+        run.start()
+        run.run_until(run.end_s)
         score = build_scorecard(run)
         assert score.breaker_trips == 0
         # Coverage below the estimation floor: the paper's abort path,

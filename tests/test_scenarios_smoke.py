@@ -86,7 +86,7 @@ class TestMixedRow:
         scenario = mixed_service_row(web_count=20, cache_count=20, feed_count=4)
         controller = scenario.dynamo.leaf_controller("rpp0")
         scenario.start()
-        start = scenario.extras["start_s"]
+        start = scenario.start_s
         scenario.run_until(start + 60.0)
         aggregate = controller.last_aggregate_power_w
         controller.set_contractual_limit_w(aggregate * 0.93)

@@ -104,6 +104,24 @@ class TestLifecycle:
         finally:
             app.manager.close_all()
 
+    @pytest.mark.parametrize(
+        "name, start_s", [("altoona", 11 * 3600.0), ("price-spike-day", 0.0)]
+    )
+    def test_create_any_named_world(self, app, name, start_s):
+        # A case-study world and an econ day: the same names the CLI
+        # takes, through the same resolver.
+        sid = make_session(app, scenario=name, seed=1)
+        _, view = call(app, "GET", f"/sessions/{sid}")
+        assert view["time_s"] == pytest.approx(start_s)
+        status, body = call(app, "POST", f"/sessions/{sid}/step", {"dt_s": 6.0})
+        assert status == 200
+        assert body["time_s"] == pytest.approx(start_s + 6.0)
+
+    def test_unknown_world_name_is_400(self, app):
+        status, body = call(app, "POST", "/sessions", {"scenario": "nope"})
+        assert status == 400
+        assert "unknown world 'nope'" in body["error"]
+
     def test_create_requires_exactly_one_origin(self, app, warm_snapshot_path):
         status, body = call(app, "POST", "/sessions", {})
         assert status == 400
@@ -466,6 +484,26 @@ class TestErrorMapping:
         )
         assert status == 400
         assert "quickstart" in body["error"]
+        assert len(app.manager) == 0
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda e: e.pop("recipe"),
+            lambda e: e.update(recipe=["chaos"]),
+            lambda e: e.update(schema_version="x"),
+            lambda e: e.pop("state"),
+        ],
+        ids=["no-recipe", "list-recipe", "text-version", "no-state"],
+    )
+    def test_malformed_snapshot_envelope_is_400(
+        self, app, warm_snapshot_path, damage
+    ):
+        envelope = json.loads(warm_snapshot_path.read_text())
+        damage(envelope)
+        status, body = call(app, "POST", "/sessions", {"snapshot": envelope})
+        assert status == 400
+        assert "posted snapshot" in body["error"]
         assert len(app.manager) == 0
 
     def test_malformed_json_is_400(self, app):

@@ -25,11 +25,16 @@ from repro.errors import (
 from repro.state import (
     SnapshotRegistry,
     WorldSnapshot,
-    build_chaos_world,
     build_quickstart_world,
+    build_world,
     fingerprint,
+    named_recipe,
+    world_names,
 )
-from repro.state.worlds import build_world
+
+
+def named_world(name: str, seed: int):
+    return build_world(named_recipe(name, seed=seed))
 
 
 def world_fingerprint(world) -> str:
@@ -64,7 +69,7 @@ class TestBitExactResume:
     def test_mid_capping_event(self):
         # sb-outage holds rpp0/rpp1/sb0 in active capping through
         # t=600 s; the snapshot lands in the middle of the episode.
-        build = lambda: build_chaos_world("sb-outage", seed=7)  # noqa: E731
+        build = lambda: named_world("sb-outage", seed=7)  # noqa: E731
         registry = SnapshotRegistry()
         world = build()
         world.run_until(600.0)
@@ -88,7 +93,7 @@ class TestBitExactResume:
         # At t=900 s the sb-outage fault is injected and not yet
         # recovered: the snapshot must carry the armed recovery timer
         # and the fault's saved world state.
-        build = lambda: build_chaos_world("sb-outage", seed=7)  # noqa: E731
+        build = lambda: named_world("sb-outage", seed=7)  # noqa: E731
         registry = SnapshotRegistry()
         world = build()
         world.run_until(900.0)
@@ -96,7 +101,7 @@ class TestBitExactResume:
         faults = snapshot.state["orchestrator"]["faults"]
         assert any(f["injected"] and not f["recovered"] for f in faults)
         resumed = registry.restore(snapshot)
-        end_s = world.extras["end_s"]
+        end_s = world.end_s
         resumed.run_until(end_s)
         world.run_until(end_s)
         assert world_fingerprint(resumed) == world_fingerprint(world)
@@ -104,7 +109,7 @@ class TestBitExactResume:
     def test_in_safe_mode(self):
         # The partition scenario drives leaf controllers into SAFE
         # posture around t=150-300 s; snapshot inside that window.
-        build = lambda: build_chaos_world("partition", seed=7)  # noqa: E731
+        build = lambda: named_world("partition", seed=7)  # noqa: E731
         registry = SnapshotRegistry()
         world = build()
         world.run_until(210.0)
@@ -134,7 +139,7 @@ class TestBitExactResume:
         # 680 s) has part of the group on the scalar lane with pending
         # fast-path successes on the rest, so the capture carries the
         # control_batch section plus armed per-endpoint faults.
-        build = lambda: build_chaos_world("campaign", seed=7)  # noqa: E731
+        build = lambda: named_world("campaign", seed=7)  # noqa: E731
         assert resumed_fingerprint(build, 650.0, 900.0) == (
             uninterrupted_fingerprint(build, 900.0)
         )
@@ -168,36 +173,57 @@ class TestBitExactResume:
         assert result.stdout.strip() == expected
 
 
+#: Seconds each named world runs before and after its capture, from its
+#: start: long enough for every periodic process to have fired.
+RESUME_T_S = 60.0
+
+
+class TestEveryNamedWorldResumes:
+    @pytest.mark.parametrize("name", world_names())
+    def test_resume_through_the_envelope_is_bit_exact(self, name):
+        """Run to T, capture, save/load, restore, run to 2T: no drift."""
+        registry = SnapshotRegistry()
+        world = named_world(name, seed=1)
+        capture_s = world.start_s + RESUME_T_S
+        end_s = capture_s + RESUME_T_S
+        world.run_until(capture_s)
+        envelope = json.loads(json.dumps(registry.capture(world).to_envelope()))
+        resumed = registry.restore(WorldSnapshot.from_envelope(envelope))
+        assert resumed.name == world.name
+        assert resumed.now_s == pytest.approx(capture_s)
+        resumed.run_until(end_s)
+        world.run_until(end_s)
+        assert world_fingerprint(resumed) == world_fingerprint(world)
+
+
 class TestChaosCampaignResume:
     def test_scorecard_matches_uninterrupted_run(self, tmp_path):
         from repro.chaos import build_scorecard
 
         registry = SnapshotRegistry()
-        baseline = build_chaos_world("watchdog-restart", seed=7)
-        end_s = baseline.extras["end_s"]
+        baseline = named_world("watchdog-restart", seed=7)
+        end_s = baseline.end_s
         baseline.run_until(end_s)
-        baseline_run = baseline.extras["chaos_run"]
-        baseline_score = build_scorecard(baseline_run)
+        baseline_score = build_scorecard(baseline)
 
-        world = build_chaos_world("watchdog-restart", seed=7)
+        world = named_world("watchdog-restart", seed=7)
         world.run_until(end_s / 2)
         path = tmp_path / "campaign.json"
         registry.capture(world).save(path)
         resumed = registry.restore(WorldSnapshot.load(path))
         resumed.run_until(end_s)
-        resumed_run = resumed.extras["chaos_run"]
         assert (
-            resumed_run.orchestrator.timeline_fingerprint()
-            == baseline_run.orchestrator.timeline_fingerprint()
+            resumed.orchestrator.timeline_fingerprint()
+            == baseline.orchestrator.timeline_fingerprint()
         )
-        assert build_scorecard(resumed_run) == baseline_score
+        assert build_scorecard(resumed) == baseline_score
 
     def test_cli_resume_exit_code(self, tmp_path, capsys):
         from repro.cli import main
 
         path = tmp_path / "campaign.json"
         registry = SnapshotRegistry()
-        world = build_chaos_world("watchdog-restart", seed=7)
+        world = named_world("watchdog-restart", seed=7)
         world.run_until(300.0)
         registry.capture(world).save(path)
         assert main(["chaos", "run", "--resume", str(path)]) == 0
@@ -278,6 +304,35 @@ class TestMalformedRecipes:
         with pytest.raises(SnapshotError, match="scenario"):
             build_world({"builder": "chaos", "kwargs": {"seed": 7}})
 
+    @pytest.mark.parametrize(
+        "damage, named",
+        [
+            (lambda e: e.pop("recipe"), "malformed recipe"),
+            (lambda e: e.update(recipe=["chaos"]), "malformed recipe"),
+            (lambda e: e.update(recipe={"kwargs": {}}), "malformed recipe"),
+            (lambda e: e.update(schema_version="x"), "schema_version"),
+            (lambda e: e.pop("state"), "no state"),
+        ],
+    )
+    def test_malformed_envelope_is_refused(self, damage, named):
+        # The integrity hash covers the state only: the envelope's other
+        # fields are checked by shape, each refusal a SnapshotError.
+        world = named_world("sb-outage", seed=7)
+        world.run_until(9.0)
+        envelope = SnapshotRegistry().capture(world).to_envelope()
+        damage(envelope)
+        with pytest.raises(SnapshotError, match=named):
+            WorldSnapshot.from_envelope(envelope)
+
+    def test_chaos_recipe_without_scenario_is_refused(self):
+        world = named_world("sb-outage", seed=7)
+        world.run_until(9.0)
+        envelope = SnapshotRegistry().capture(world).to_envelope()
+        del envelope["recipe"]["kwargs"]["scenario"]
+        snapshot = WorldSnapshot.from_envelope(envelope)
+        with pytest.raises(SnapshotError, match="scenario"):
+            SnapshotRegistry().restore(snapshot)
+
     def test_envelope_recipe_with_backend_keys_is_refused(self):
         # Recipes captured before every world ran the array lane carry
         # the two backend keys; restoring one fails loudly by name.
@@ -303,6 +358,14 @@ class TestMalformedRecipes:
 
 
 class TestCaptureGuards:
+    def test_world_without_recipe_is_rejected(self):
+        from repro.chaos import CHAOS_SCENARIOS
+
+        world = CHAOS_SCENARIOS["sb-outage"](seed=7)
+        world.start()
+        with pytest.raises(SnapshotError, match="no recipe"):
+            SnapshotRegistry().capture(world)
+
     def test_unknown_pending_event_is_rejected(self):
         world = build_quickstart_world(seed=0)
         world.run_until(10.0)
@@ -311,8 +374,8 @@ class TestCaptureGuards:
             SnapshotRegistry().capture(world)
 
     def test_failover_pairs_round_trip(self):
-        world = build_chaos_world("upper-controller-crash", seed=7)
-        world.run_until(world.extras["end_s"] / 2)
+        world = named_world("upper-controller-crash", seed=7)
+        world.run_until(world.end_s / 2)
         snapshot = SnapshotRegistry().capture(world)
         assert snapshot.state["failover_devices"]
         resumed = SnapshotRegistry().restore(snapshot)

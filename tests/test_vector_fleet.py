@@ -22,7 +22,11 @@ from hypothesis import strategies as st
 from repro.simulation.soa import seq_sum
 from repro.state.registry import SnapshotRegistry
 from repro.state.snapshot import fingerprint
-from repro.state.worlds import build_chaos_world, build_quickstart_world
+from repro.state.worlds import (
+    build_quickstart_world,
+    build_world,
+    named_recipe,
+)
 from tests.conftest import scalar_lane
 
 def world_fp(world) -> str:
@@ -88,7 +92,7 @@ class TestCrossBackendParity:
     def test_capping_event_bit_identical(self):
         """Full sb-outage campaign: capping engages on both lanes."""
         worlds = both_lanes(
-            lambda: build_chaos_world("sb-outage", seed=7), 900.0
+            lambda: build_world(named_recipe("sb-outage", seed=7)), 900.0
         )
         for world in worlds.values():
             assert world.dynamo.total_cap_events() > 0
@@ -97,7 +101,7 @@ class TestCrossBackendParity:
     def test_active_chaos_fault_bit_identical(self):
         """Fingerprints taken mid-fault, with caps still in force."""
         worlds = both_lanes(
-            lambda: build_chaos_world("sb-outage", seed=7), 600.0
+            lambda: build_world(named_recipe("sb-outage", seed=7)), 600.0
         )
         for world in worlds.values():
             assert world.fleet.capped_servers()
