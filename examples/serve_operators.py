@@ -9,9 +9,8 @@ operator scripts side by side:
 
 - **steady** just watches: steps its session and reads the power tree.
 - **surge** injects a demand surge, a flaky RPC fabric, and a breaker
-  derating, then watches its controllers leave NORMAL (stale-tolerant
-  degraded/safe capping), cap servers, and recover once the faults
-  clear.
+  derating, then watches its controllers leave NORMAL (degraded/safe
+  capping), cap servers, and recover once the faults clear.
 - **maintenance** derates a breaker, fails a controller primary over to
   its backup, and restores both.
 

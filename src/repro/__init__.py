@@ -27,14 +27,7 @@ Quickstart::
     engine.run_until(600.0)
 """
 
-from repro.config import (
-    AgentConfig,
-    BucketConfig,
-    ControllerConfig,
-    DynamoConfig,
-    RaplConfig,
-    ThreeBandConfig,
-)
+from repro.config import ControllerConfig, DynamoConfig, ThreeBandConfig
 from repro.core.dynamo import Dynamo
 from repro.errors import ReproError
 from repro.fleet import Fleet, FleetDriver, ServiceAllocation, populate_fleet
@@ -47,8 +40,6 @@ from repro.simulation.rng import RngStreams
 __version__ = "1.0.0"
 
 __all__ = [
-    "AgentConfig",
-    "BucketConfig",
     "ControllerConfig",
     "DataCenterSpec",
     "Dynamo",
@@ -56,7 +47,6 @@ __all__ = [
     "Fleet",
     "FleetDriver",
     "PowerTopology",
-    "RaplConfig",
     "ReproError",
     "RngStreams",
     "ServiceAllocation",

@@ -64,7 +64,6 @@ class RobustnessScore:
     #: Degraded-posture metrics, from the controller mode machines.
     degraded_mode_entries: int = 0
     safe_mode_entries: int = 0
-    pulls_stale: int = 0
     #: Degraded-sensing metrics (disaggregation estimator); all zero for
     #: runs that never carried a cycle on estimated readings.
     sensor_degraded_entries: int = 0
@@ -188,7 +187,6 @@ def build_scorecard(world: World) -> RobustnessScore:
         ),
         degraded_mode_entries=world.dynamo.degraded_mode_entries(),
         safe_mode_entries=world.dynamo.safe_mode_entries(),
-        pulls_stale=trace_metrics.pulls_stale,
         sensor_degraded_entries=world.dynamo.sensor_degraded_entries(),
         time_in_sensor_degraded_s=world.dynamo.time_in_sensor_degraded_s(
             end_s
@@ -225,7 +223,6 @@ def render_scorecard(score: RobustnessScore) -> str:
     table.add_row("ticks traced", score.ticks_traced)
     table.add_row("invalid ticks", score.invalid_ticks)
     table.add_row("pulls estimated", score.pulls_estimated)
-    table.add_row("stale reads served", score.pulls_stale)
     table.add_row("rpc retries", score.rpc_retries)
     table.add_row("rpc retry successes", score.rpc_retry_successes)
     table.add_row("circuit-breaker opens", score.circuit_breaker_opens)

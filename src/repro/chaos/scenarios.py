@@ -311,7 +311,7 @@ def _sensor_blackout(fraction: float, seed: int = 7) -> World:
     disaggregation estimator enabled, and a concurrent surge forces the
     leaf to actually *cap* while its sensors are dark.  At 30/50% the
     controller rides it out in SENSOR_DEGRADED; at 70% coverage drops
-    below ``EstimationConfig.safe_coverage`` and the leaf escalates
+    below the estimator's ``SAFE_COVERAGE`` and the leaf escalates
     through the invalid-cycle path to SAFE (fail-safe capping) instead
     of aborting silently.
     """

@@ -564,7 +564,6 @@ def _run_health(args: argparse.Namespace) -> int:
         print(
             f"sensing coverage={last_trace.coverage_fraction:.0%} "
             f"(last cycle: {measured}/{last_trace.pulls_attempted} measured, "
-            f"{last_trace.pulls_stale} stale, "
             f"{last_trace.pulls_estimated} estimated, "
             f"{last_trace.disaggregated} disaggregated)"
         )
@@ -609,8 +608,8 @@ def _run_attribute(args: argparse.Namespace) -> int:
     """Per-service power attribution for one leaf device.
 
     Runs the chosen scenario, then renders where the device's power is
-    going by service — measured, stale, and disaggregated readings
-    alike, each weighted by its confidence — from the leaf controller's
+    going by service — measured and disaggregated readings alike, each
+    weighted by its confidence — from the leaf controller's
     reading cache and fitted service models.
     """
     from repro.core.failover import FailoverController

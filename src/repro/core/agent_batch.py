@@ -49,6 +49,10 @@ from repro.simulation.soa import ArraySlot, bind_columns
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core -> rpc)
     from repro.rpc.resilient import ResilientTransport
 
+#: Pre-drawn sensor-noise normals per server: trades refill frequency
+#: against rewind cost on foreign draws, and has no effect on results.
+PREFETCH_DRAWS = 64
+
 
 class AgentArrays:
     """Packed per-agent mutable state (one row per server).
@@ -76,8 +80,6 @@ class AgentBatch:
         self,
         agents: dict[str, DynamoAgent],
         stepper: Any,
-        *,
-        prefetch_draws: int = 64,
     ) -> None:
         n = stepper._n
         if len(agents) != n:
@@ -113,7 +115,7 @@ class AgentBatch:
         self._clamp = np.zeros(n)
 
         #: One block of pre-drawn noise per sensor stream.
-        self._noise = PrefetchedNormals(n, prefetch_draws)
+        self._noise = PrefetchedNormals(n, PREFETCH_DRAWS)
 
         #: Successes served on the batched fast path since the endpoint
         #: last had its history materialized into breaker/health state.

@@ -12,10 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.config import BucketConfig
 from repro.core.bucket import AllocationInput, allocate_high_bucket_first
 from repro.core.messages import PowerReading
 from repro.core.priority import PriorityPolicy
+
+#: High-bucket-first bucket width: the paper finds 10-30 W buckets work
+#: well and deploys 20 W.
+BUCKET_WIDTH_W = 20.0
 
 
 @dataclass(frozen=True)
@@ -64,8 +67,6 @@ def build_capping_plan(
     readings: list[PowerReading],
     total_cut_w: float,
     policy: PriorityPolicy,
-    *,
-    bucket: BucketConfig | None = None,
 ) -> CappingPlan:
     """Allocate ``total_cut_w`` across servers, priority groups first.
 
@@ -73,13 +74,11 @@ def build_capping_plan(
         readings: the latest power reading per server (one each).
         total_cut_w: the power reduction the three-band decision demands.
         policy: service priority groups and SLA floors.
-        bucket: high-bucket-first configuration.
 
     Returns:
         A plan whose ``unallocated_w`` is nonzero only when every server
         in every group is already at its SLA floor.
     """
-    bucket = bucket or BucketConfig()
     plan = CappingPlan(total_cut_w=total_cut_w)
     if total_cut_w <= 0.0:
         plan.cuts = [
@@ -112,12 +111,12 @@ def build_capping_plan(
         ]
         if remaining > 0.0:
             result = allocate_high_bucket_first(
-                inputs, remaining, bucket_width_w=bucket.bucket_width_w
+                inputs, remaining, bucket_width_w=BUCKET_WIDTH_W
             )
             remaining = result.unallocated_w
         else:
             result = allocate_high_bucket_first(
-                inputs, 0.0, bucket_width_w=bucket.bucket_width_w
+                inputs, 0.0, bucket_width_w=BUCKET_WIDTH_W
             )
         for reading in group_readings:
             plan.cuts.append(

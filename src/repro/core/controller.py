@@ -49,6 +49,10 @@ from repro.telemetry.tracing import TickTrace, TraceBuffer, TraceBuilder
 
 SenseT = TypeVar("SenseT")
 
+#: A cycle whose share of failed pulls (leaf) or silent children (upper)
+#: exceeds this is invalid: alert, and take no action (the paper's 20%).
+MAX_READING_FAILURE_FRACTION = 0.20
+
 
 @runtime_checkable
 class DecisionPolicy(Protocol):

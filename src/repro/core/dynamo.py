@@ -24,7 +24,7 @@ from repro.core.health import EndpointHealth, HealthRegistry
 from repro.core.leaf_controller import LeafPowerController
 from repro.core.upper_controller import UpperLevelPowerController
 from repro.core.priority import PriorityPolicy
-from repro.core.watchdog import AgentWatchdog
+from repro.core.watchdog import INTERVAL_S as WATCHDOG_INTERVAL_S, AgentWatchdog
 from repro.fleet import Fleet
 from repro.power.topology import PowerTopology
 from repro.rpc.resilient import ResilientTransport
@@ -71,8 +71,7 @@ class Dynamo:
         #: Per-endpoint success/failure/latency history plus quarantine
         #: policy, fed by the resilient transport.
         self.health = HealthRegistry(
-            quarantine_after_opens=resilience.quarantine_after_opens,
-            quarantine_duration_s=resilience.quarantine_duration_s,
+            quarantine_after_opens=resilience.quarantine_after_opens
         )
         self.resilient_transport: ResilientTransport | None = None
         #: What controllers call through: the resilience layer (deadline,
@@ -83,8 +82,7 @@ class Dynamo:
         if resilience.enabled:
             self.resilient_transport = ResilientTransport(
                 self.transport,
-                policy=resilience.call,
-                breaker=resilience.breaker,
+                max_attempts=resilience.max_attempts,
                 health=self.health,
                 rng=rng_streams.stream("rpc.resilience"),
                 clock=engine.clock,
@@ -110,23 +108,8 @@ class Dynamo:
             alerts=self.alerts,
             tracer=self.traces,
         )
-        if not self.config.fleet.device_metering:
-            # Without breaker/device metering there is no aggregate
-            # residual to disaggregate: detach any configured estimator
-            # so degraded sensing falls back to abort-and-alert.
-            for instance in self._controller_instances():
-                if isinstance(instance, LeafPowerController):
-                    instance.disable_estimation()
         self.coordinator = ControllerCoordinator(engine, self.hierarchy)
-        self.watchdog = AgentWatchdog(
-            engine,
-            list(self.agents.values()),
-            interval_s=self.config.agent.watchdog_interval_s,
-            backoff_base_s=self.config.agent.watchdog_backoff_base_s,
-            backoff_max_s=self.config.agent.watchdog_backoff_max_s,
-            restart_budget=self.config.agent.watchdog_restart_budget,
-            budget_window_s=self.config.agent.watchdog_budget_window_s,
-        )
+        self.watchdog = AgentWatchdog(engine, list(self.agents.values()))
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -142,7 +125,7 @@ class Dynamo:
         if self.fleet.stepper is not None:
             self._attach_batch(self.fleet.stepper)
         self.coordinator.start()
-        self.watchdog.start(phase=self.config.agent.watchdog_interval_s)
+        self.watchdog.start(phase=WATCHDOG_INTERVAL_S)
 
     def stop(self) -> None:
         """Stop all periodic activity."""
@@ -178,11 +161,7 @@ class Dynamo:
     def _attach_batch(self, stepper) -> AgentBatch:
         if self.agent_batch is not None:
             return self.agent_batch
-        batch = AgentBatch(
-            self.agents,
-            stepper,
-            prefetch_draws=self.config.fleet.prefetch_draws,
-        )
+        batch = AgentBatch(self.agents, stepper)
         self.agent_batch = batch
         self.transport.attach_batch(batch)
         for instance in self._controller_instances():
@@ -214,15 +193,12 @@ class Dynamo:
                 primary.server_ids,
                 self.controller_transport,
                 config=self.config.controller,
-                bucket=self.config.bucket,
                 policy=self.policy,
                 alerts=self.alerts,
                 tracer=self.traces,
             )
             if self.agent_batch is not None:
                 backup.attach_control_batch(self.agent_batch)
-            if not self.config.fleet.device_metering:
-                backup.disable_estimation()
             pair = FailoverController(primary, backup)
             self.hierarchy.leaf_controllers[device_name] = pair
         else:

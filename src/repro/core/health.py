@@ -34,6 +34,13 @@ from repro.telemetry.alerts import AlertSink, Severity
 
 #: Latency samples retained per endpoint for the mean-latency view.
 _LATENCY_WINDOW = 64
+#: How long a quarantined endpoint fails fast before it is probed again.
+QUARANTINE_DURATION_S = 120.0
+#: Consecutive invalid cycles that enter DEGRADED, then SAFE.
+DEGRADED_AFTER_INVALID_CYCLES = 3
+SAFE_AFTER_INVALID_CYCLES = 6
+#: Consecutive valid cycles that step the posture down one level.
+RECOVERY_VALID_CYCLES = 5
 
 
 @dataclass
@@ -50,7 +57,7 @@ class EndpointHealth:
     retry_successes: int = 0
     #: Full (closed → open) circuit-breaker trips.
     breaker_opens: int = 0
-    #: Calls rejected without touching the wire (open breaker/quarantine).
+    #: Calls rejected without touching the wire (quarantine).
     fast_fails: int = 0
     consecutive_failures: int = 0
     last_success_s: float | None = None
@@ -143,18 +150,12 @@ class HealthRegistry:
 
     The registry is passive bookkeeping plus one policy: an endpoint
     whose breaker has fully tripped ``quarantine_after_opens`` times is
-    quarantined for ``quarantine_duration_s`` — the caller fails fast
+    quarantined for :data:`QUARANTINE_DURATION_S` — the caller fails fast
     instead of re-probing a persistently bad host every cycle.
     """
 
-    def __init__(
-        self,
-        *,
-        quarantine_after_opens: int = 3,
-        quarantine_duration_s: float = 120.0,
-    ) -> None:
+    def __init__(self, *, quarantine_after_opens: int = 3) -> None:
         self.quarantine_after_opens = quarantine_after_opens
-        self.quarantine_duration_s = quarantine_duration_s
         self._endpoints: dict[str, EndpointHealth] = {}
 
     def stats(self, endpoint: str) -> EndpointHealth | None:
@@ -232,7 +233,7 @@ class HealthRegistry:
         stats.backoff_waited_s += backoff_s
 
     def record_fast_fail(self, endpoint: str) -> None:
-        """Account a call rejected by an open breaker or quarantine."""
+        """Account a call rejected by quarantine."""
         self._stats(endpoint).fast_fails += 1
 
     def record_breaker_open(self, endpoint: str, now_s: float) -> None:
@@ -242,9 +243,8 @@ class HealthRegistry:
         if (
             self.quarantine_after_opens > 0
             and stats.breaker_opens >= self.quarantine_after_opens
-            and self.quarantine_duration_s > 0.0
         ):
-            stats.quarantined_until_s = now_s + self.quarantine_duration_s
+            stats.quarantined_until_s = now_s + QUARANTINE_DURATION_S
             stats.quarantines += 1
 
     def release(self, endpoint: str) -> None:
@@ -338,10 +338,9 @@ _MODE_ORDER = [OperatingMode.NORMAL, OperatingMode.DEGRADED, OperatingMode.SAFE]
 class ModeStateMachine:
     """NORMAL → DEGRADED → SAFE escalation on consecutive invalid cycles.
 
-    Escalation is monotone within an outage: ``degraded_after`` invalid
-    cycles in a row enter DEGRADED, ``safe_after`` enter SAFE.  Any
-    valid cycle resets the invalid streak; ``recovery_valid_cycles``
-    valid cycles in a row step the posture down one level (SAFE →
+    Escalation is monotone within an outage: 3 invalid cycles in a row
+    enter DEGRADED, 6 enter SAFE.  Any valid cycle resets the invalid
+    streak; 5 valid cycles in a row step the posture down one level (SAFE →
     DEGRADED → NORMAL), so recovery is deliberately slower than
     escalation.  Disabled machines always report NORMAL.
     """
@@ -420,12 +419,9 @@ class ModeStateMachine:
             return self.mode
         self.consecutive_invalid += 1
         self.consecutive_valid = 0
-        if self.consecutive_invalid >= self.config.safe_after_invalid_cycles:
+        if self.consecutive_invalid >= SAFE_AFTER_INVALID_CYCLES:
             self._transition(now_s, OperatingMode.SAFE)
-        elif (
-            self.consecutive_invalid
-            >= self.config.degraded_after_invalid_cycles
-        ):
+        elif self.consecutive_invalid >= DEGRADED_AFTER_INVALID_CYCLES:
             if self.mode is OperatingMode.NORMAL:
                 self._transition(now_s, OperatingMode.DEGRADED)
         return self.mode
@@ -438,7 +434,7 @@ class ModeStateMachine:
         self.consecutive_valid += 1
         if (
             self.mode is not OperatingMode.NORMAL
-            and self.consecutive_valid >= self.config.recovery_valid_cycles
+            and self.consecutive_valid >= RECOVERY_VALID_CYCLES
         ):
             if self.mode is OperatingMode.SENSOR_DEGRADED:
                 # Sensing is back: the estimator branch recovers
@@ -469,7 +465,7 @@ class ModeStateMachine:
         self.consecutive_invalid = 0
         if self.mode is OperatingMode.SAFE:
             self.consecutive_valid += 1
-            if self.consecutive_valid >= self.config.recovery_valid_cycles:
+            if self.consecutive_valid >= RECOVERY_VALID_CYCLES:
                 self._transition(now_s, OperatingMode.SENSOR_DEGRADED)
                 self.consecutive_valid = 0
             return self.mode

@@ -4,7 +4,7 @@ For every power device that needs protection there is a matching
 controller instance (Section III-A).  The Facebook deployment configures
 RPPs (or PDU breakers) as the leaf controllers and skips rack-level
 monitoring (footnote 2), so rack-attached servers roll up to their RPP's
-controller; the hierarchy builder honours that via ``leaf_level``.
+controller: leaves sit at :data:`LEAF_LEVEL`.
 """
 
 from __future__ import annotations
@@ -22,6 +22,9 @@ from repro.power.topology import PowerTopology
 from repro.rpc.transport import Transport
 from repro.telemetry.alerts import AlertSink
 from repro.telemetry.tracing import TraceBuffer
+
+#: The level whose devices get leaf controllers (footnote 2).
+LEAF_LEVEL = DeviceLevel.RPP
 
 
 @dataclass
@@ -69,7 +72,7 @@ def build_controller_hierarchy(
 ) -> ControllerHierarchy:
     """Instantiate one controller per device, wired parent-to-children.
 
-    Devices at ``config.leaf_level`` get :class:`LeafPowerController`
+    Devices at :data:`LEAF_LEVEL` get :class:`LeafPowerController`
     instances (their subtree's servers become the controller's purview);
     devices above it get :class:`UpperLevelPowerController` instances.
     Devices *below* the leaf level get no controller — the paper's
@@ -78,26 +81,19 @@ def build_controller_hierarchy(
     config = config or DynamoConfig()
     policy = policy or PriorityPolicy()
     alerts = alerts or AlertSink()
-    try:
-        leaf_level = DeviceLevel(config.leaf_level)
-    except ValueError:
-        raise ConfigurationError(
-            f"unknown leaf level {config.leaf_level!r}"
-        ) from None
 
     hierarchy = ControllerHierarchy()
 
     def build(device: PowerDevice) -> PowerController | None:
-        if device.level.depth > leaf_level.depth:
+        if device.level.depth > LEAF_LEVEL.depth:
             return None
-        if device.level is leaf_level or not device.children:
+        if device.level is LEAF_LEVEL or not device.children:
             server_ids = sorted(device.iter_load_ids())
             leaf = LeafPowerController(
                 device,
                 server_ids,
                 transport,
                 config=config.controller,
-                bucket=config.bucket,
                 policy=policy,
                 alerts=alerts,
                 tracer=tracer,

@@ -12,7 +12,7 @@ stages:
    invalid: the controller raises a human-intervention alert and takes
    no action this cycle (no false positives).  With the disaggregation
    estimator enabled (``ControllerConfig.estimation``), that hard abort
-   softens: down to the ``safe_coverage`` floor the dark servers are
+   softens: down to the ``SAFE_COVERAGE`` floor the dark servers are
    reconstructed from the device-metering residual
    (:mod:`repro.estimation`), the cycle proceeds in the
    SENSOR_DEGRADED posture, and the aggregate is inflated by the
@@ -34,14 +34,18 @@ exists, estimated otherwise, exactly as the paper prescribes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
-from repro.config import BucketConfig, ControllerConfig
+from repro.config import ControllerConfig
 from repro.core.capping_plan import CappingPlan, build_capping_plan
-from repro.core.controller import BaseController, DecisionPolicy
+from repro.core.controller import (
+    MAX_READING_FAILURE_FRACTION,
+    BaseController,
+    DecisionPolicy,
+)
 from repro.core.health import OperatingMode
 from repro.core.messages import CapRequest, CapResponse, PowerReading
 from repro.core.priority import PriorityPolicy
@@ -49,6 +53,7 @@ from repro.core.three_band import BandAction, BandDecision
 from repro.core.thresholds import control_thresholds_w
 from repro.errors import RpcError
 from repro.estimation.disaggregator import (
+    SAFE_COVERAGE,
     PowerDisaggregator,
     uncertainty_margin_w,
 )
@@ -69,13 +74,13 @@ class BatchedSense:
 
     What sense hands to aggregate and actuate: ``values``/``success_mask``
     hold per-position sensed powers (position = index into the
-    controller's ``server_ids``), while stale-cache hits and estimated
-    readings stay materialized (they are few).  Readings that arrived
-    through a per-call RPC (no batch attached, or an endpoint off the
-    batched fast lane) are kept as received in ``scalar_readings``.
+    controller's ``server_ids``), while estimated readings stay
+    materialized (they are few).  Readings that arrived through a
+    per-call RPC (no batch attached, or an endpoint off the batched fast
+    lane) are kept as received in ``scalar_readings``.
     :meth:`readings` materializes the full list — successes by broadcast
-    position, then stale, then estimated — which actuation's capping
-    planner consumes.
+    position, then estimated — which actuation's capping planner
+    consumes.
     """
 
     __slots__ = (
@@ -84,7 +89,6 @@ class BatchedSense:
         "values",
         "success_mask",
         "scalar_readings",
-        "stale_served",
         "estimated",
     )
 
@@ -95,7 +99,6 @@ class BatchedSense:
         values: np.ndarray,
         success_mask: np.ndarray,
         scalar_readings: dict[int, PowerReading],
-        stale_served: list[PowerReading],
         estimated: list[PowerReading],
     ) -> None:
         self.controller = controller
@@ -103,7 +106,6 @@ class BatchedSense:
         self.values = values
         self.success_mask = success_mask
         self.scalar_readings = scalar_readings
-        self.stale_served = stale_served
         self.estimated = estimated
 
     def total_power_w(self) -> float:
@@ -116,7 +118,6 @@ class BatchedSense:
         parts = np.concatenate(
             (
                 self.values[self.success_mask],
-                [r.power_w for r in self.stale_served],
                 [r.power_w for r in self.estimated],
             )
         )
@@ -142,7 +143,6 @@ class BatchedSense:
                     breakdown=PowerSensor.breakdown_from_total(power),
                 )
             out.append(reading)
-        out.extend(self.stale_served)
         out.extend(self.estimated)
         return out
 
@@ -180,7 +180,6 @@ class LeafPowerController(BaseController[BatchedSense]):
         transport: Transport,
         *,
         config: ControllerConfig | None = None,
-        bucket: BucketConfig | None = None,
         policy: PriorityPolicy | None = None,
         alerts: AlertSink | None = None,
         endpoint_prefix: str = "agent:",
@@ -192,7 +191,6 @@ class LeafPowerController(BaseController[BatchedSense]):
         )
         self.server_ids = list(server_ids)
         self._transport = transport
-        self._bucket = bucket or BucketConfig()
         self.policy = policy or PriorityPolicy()
         self._endpoint_prefix = endpoint_prefix
         # Broadcast endpoints are rebuilt only when membership changes.
@@ -202,20 +200,17 @@ class LeafPowerController(BaseController[BatchedSense]):
         self._fail_safe_engaged = False
         # Disaggregation estimator (degraded-sensing subsystem).  Public
         # so the attribution CLI and serve views can inspect the fitted
-        # models; None when estimation is disabled in config or the
-        # fleet has no device metering (Dynamo detaches it then).
+        # models; None when estimation is disabled in config.
         self.estimator: PowerDisaggregator | None = (
-            PowerDisaggregator(self.config.estimation)
-            if self.config.estimation.enabled
-            else None
+            PowerDisaggregator() if self.config.estimation.enabled else None
         )
         # Device-metered total stashed at sense time on disaggregated
         # cycles, so aggregate() can report the signed estimation error
         # against the simulated ground truth.
         self._cycle_metered_w = 0.0
         # The most recent successful sense result, for per-service
-        # attribution of the last cycle including stale and
-        # disaggregated readings.
+        # attribution of the last cycle including disaggregated
+        # readings.
         self._last_sensed: BatchedSense | None = None
         self._components: list[NonServerComponent] = []
         self._actuation_successes = 0
@@ -267,7 +262,7 @@ class LeafPowerController(BaseController[BatchedSense]):
             service, len(self._svc_code_of)
         )
 
-    def _cached_reading(self, p: int, *, stale: bool = False) -> PowerReading:
+    def _cached_reading(self, p: int) -> PowerReading:
         """Materialize the cached reading at position ``p``.
 
         Breakdowns are deterministic functions of the sensed total, so a
@@ -286,7 +281,6 @@ class LeafPowerController(BaseController[BatchedSense]):
             breakdown=(
                 None if estimated else PowerSensor.breakdown_from_total(power)
             ),
-            stale=stale,
         )
 
     @property
@@ -302,16 +296,6 @@ class LeafPowerController(BaseController[BatchedSense]):
             self._endpoint_cache_key = key
         return self._endpoint_cache
 
-    def disable_estimation(self) -> None:
-        """Detach the disaggregation estimator.
-
-        Called by Dynamo when the fleet reports no device metering
-        (``FleetConfig.device_metering`` False): without a breaker-side
-        reading there is no residual to disaggregate, so degraded
-        sensing falls back to the paper's abort-and-alert rule.
-        """
-        self.estimator = None
-
     def add_component(self, component: NonServerComponent) -> None:
         """Register a monitored non-server load on this breaker."""
         self._components.append(component)
@@ -326,17 +310,12 @@ class LeafPowerController(BaseController[BatchedSense]):
     # ------------------------------------------------------------------
 
     def sense(self, now_s: float, trace: TraceBuilder) -> BatchedSense | None:
-        """Pull every agent; cache/estimate failures; None when >20% failed.
+        """Pull every agent; estimate failures; None when >20% failed.
 
         With a batch attached the pull is one group read (per-call RPC
         only for endpoints off the fast lane); otherwise, or when the
         whole group falls back (e.g. global fault rates armed), it is a
-        sequential broadcast.  A failed pull is served from the
-        last-known-good reading cache when that reading is at most
-        ``reading_cache_ttl_s`` old (a real measurement, merely stale,
-        beats neighbour estimation); expired or absent entries fall
-        through to estimation.  Only pulls the cache could not resolve
-        count against the paper's 20% invalid-aggregation rule.
+        sequential broadcast.
         """
         group = None
         if self._batch is not None:
@@ -352,25 +331,14 @@ class LeafPowerController(BaseController[BatchedSense]):
         n = len(self.server_ids)
         trace.pulls_attempted = n
         trace.pulls_failed = len(failures)
-        ttl = self.config.reading_cache_ttl_s
         prefix_len = len(self._endpoint_prefix)
-        stale_served: list[PowerReading] = []
-        unresolved: list[int] = []
-        for endpoint in failures:
-            p = self._pos_of_server[endpoint[prefix_len:]]
-            if (
-                ttl > 0.0
-                and self._last_has[p]
-                and now_s - self._last_time[p] <= ttl
-            ):
-                stale_served.append(self._cached_reading(p, stale=True))
-            else:
-                unresolved.append(p)
-        trace.pulls_stale = len(stale_served)
+        unresolved = [
+            self._pos_of_server[endpoint[prefix_len:]] for endpoint in failures
+        ]
         if n:
             trace.coverage_fraction = 1.0 - len(unresolved) / n
         over_threshold = bool(n) and (
-            len(unresolved) / n > self.config.max_reading_failure_fraction
+            len(unresolved) / n > MAX_READING_FAILURE_FRACTION
         )
         if over_threshold and not self._can_disaggregate(
             trace.coverage_fraction
@@ -417,8 +385,8 @@ class LeafPowerController(BaseController[BatchedSense]):
                 for p in map(int, np.flatnonzero(success))
             )
         if over_threshold:
-            stale_served, estimated = self._disaggregate(
-                values, success, stale_served, unresolved, now_s, trace
+            estimated = self._disaggregate(
+                values, success, unresolved, now_s, trace
             )
         else:
             estimated = [
@@ -427,8 +395,7 @@ class LeafPowerController(BaseController[BatchedSense]):
             ]
             trace.pulls_estimated = len(unresolved)
         sensed = BatchedSense(
-            self, now_s, values, success, scalar_readings, stale_served,
-            estimated,
+            self, now_s, values, success, scalar_readings, estimated
         )
         self._last_sensed = sensed
         return sensed
@@ -436,8 +403,8 @@ class LeafPowerController(BaseController[BatchedSense]):
     def last_cycle_readings(self) -> list[PowerReading]:
         """The latest cycle's full reading set, any provenance.
 
-        Measured, stale-served, and estimated/disaggregated readings
-        alike — the attribution CLI's input.  Falls back to the
+        Measured and estimated/disaggregated readings alike — the
+        attribution CLI's input.  Falls back to the
         last-known-good cache before the first successful cycle.
         """
         if self._last_sensed is None:
@@ -448,7 +415,7 @@ class LeafPowerController(BaseController[BatchedSense]):
         """Whether the estimator can carry this over-threshold cycle."""
         return (
             self.estimator is not None
-            and coverage_fraction >= self.config.estimation.safe_coverage
+            and coverage_fraction >= SAFE_COVERAGE
         )
 
     def _raise_aggregation_invalid(self, now_s: float, unresolved: int) -> None:
@@ -466,42 +433,25 @@ class LeafPowerController(BaseController[BatchedSense]):
         self,
         values: np.ndarray,
         success: np.ndarray,
-        stale_served: list[PowerReading],
         unresolved: list[int],
         now_s: float,
         trace: TraceBuilder,
-    ) -> tuple[list[PowerReading], list[PowerReading]]:
+    ) -> list[PowerReading]:
         """Over-threshold cycle carried by the disaggregation estimator.
 
         Live measurements were consumed as usual (and still trained the
-        models); stale-cache hits get an age-decayed confidence; the
-        dark remainder is reconstructed by distributing the
+        models); the dark remainder is reconstructed by distributing the
         device-metering residual across dark servers in proportion to
         the fitted models (:meth:`PowerDisaggregator.disaggregate`).
         The estimates sum to the residual by construction, so the
         un-inflated aggregate tracks the metered total.  The measured
         sum is a left-to-right cumsum over successes in broadcast
-        position order followed by the stale-served readings.
+        position order.
         """
         estimator = self.estimator
         assert estimator is not None
-        parts = np.concatenate(
-            (
-                values[success],
-                [r.power_w for r in stale_served],
-            )
-        )
+        parts = values[success]
         measured_sum = float(np.cumsum(parts)[-1]) if parts.size else 0.0
-        ttl = self.config.reading_cache_ttl_s
-        stale_out = [
-            replace(
-                reading,
-                confidence=estimator.stale_confidence(
-                    now_s - reading.time_s, ttl
-                ),
-            )
-            for reading in stale_served
-        ]
         dark: list[tuple[str, str]] = []
         for p in unresolved:
             service = self._pos_service[p] if self._last_has[p] else "unknown"
@@ -521,13 +471,13 @@ class LeafPowerController(BaseController[BatchedSense]):
         trace.pulls_estimated = len(unresolved)
         trace.disaggregated = len(unresolved)
         self._cycle_metered_w = metered_w
-        return stale_out, estimated
+        return estimated
 
     def _metering_residual_w(self, measured_sum: float) -> tuple[float, float]:
         """(residual to distribute over dark servers, metered device total).
 
         The residual is the device/breaker metering minus fixed overhead,
-        monitored components, and every measured or stale-served server —
+        monitored components, and every measured server —
         i.e. exactly the dark servers' combined draw in the simulated
         world.  Clamped at zero: metering drift must never produce
         negative server estimates.
@@ -589,7 +539,7 @@ class LeafPowerController(BaseController[BatchedSense]):
 
         On disaggregated cycles the sum is additionally inflated by the
         uncertain readings' margin (power weighted by lost confidence,
-        scaled by ``estimation.uncertainty_inflation``): the controller
+        scaled by ``UNCERTAINTY_INFLATION``): the controller
         caps against an over-estimate, never an under-estimate, while
         sensors are dark.  The signed gap between the inflated aggregate
         and the metered ground truth lands in the trace so campaigns can
@@ -599,10 +549,7 @@ class LeafPowerController(BaseController[BatchedSense]):
         components_w = seq_sum(c.power_w() for c in self._components)
         aggregate += components_w
         if trace.disaggregated:
-            aggregate += uncertainty_margin_w(
-                sensed.stale_served + sensed.estimated,
-                self.config.estimation.uncertainty_inflation
-            )
+            aggregate += uncertainty_margin_w(sensed.estimated)
             trace.estimation_error_w = aggregate - (
                 self._cycle_metered_w + components_w
             )
@@ -627,7 +574,6 @@ class LeafPowerController(BaseController[BatchedSense]):
                 sensed.readings(),
                 decision.total_power_cut_w,
                 self.policy,
-                bucket=self._bucket,
             )
             trace.cut_allocated_w = plan.allocated_w
             self._apply_plan(plan, now_s)
@@ -831,7 +777,6 @@ class LeafPowerController(BaseController[BatchedSense]):
                 "estimated": r.estimated,
                 "service": r.service,
                 "time_s": r.time_s,
-                "stale": r.stale,
                 "breakdown": (
                     None
                     if r.breakdown is None

@@ -20,12 +20,10 @@ class PowerReading:
             model rather than a sensor.
         service: the service running on the server (controller metadata).
         time_s: simulation time of the reading.
-        stale: True when the value was served from the controller's
-            last-known-good cache because this cycle's pull failed.
         confidence: how much the aggregation trusts this value.
-            Measured readings carry 1.0; under degraded sensing, stale
-            cache hits decay with age and disaggregation estimates
-            derive theirs from the model's fit error.  Anything below
+            Measured readings carry 1.0; under degraded sensing,
+            disaggregation estimates derive theirs from the model's fit
+            error.  Anything below
             1.0 contributes uncertainty margin to the inflated
             aggregate (never under-cap).
     """
@@ -36,7 +34,6 @@ class PowerReading:
     service: str
     time_s: float
     breakdown: PowerBreakdown | None = None
-    stale: bool = False
     confidence: float = 1.0
 
 

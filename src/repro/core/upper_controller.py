@@ -27,7 +27,12 @@ parent holds direct references to its children, which is the same thing.
 from __future__ import annotations
 
 from repro.config import ControllerConfig
-from repro.core.controller import BaseController, DecisionPolicy, PowerController
+from repro.core.controller import (
+    MAX_READING_FAILURE_FRACTION,
+    BaseController,
+    DecisionPolicy,
+    PowerController,
+)
 from repro.core.offender import ChildState, OffenderDecision, punish_offender_first
 from repro.core.three_band import BandAction, BandDecision
 from repro.core.thresholds import control_thresholds_w
@@ -99,11 +104,7 @@ class UpperLevelPowerController(BaseController[list[ChildState]]):
                 "aggregation; holding",
             )
             return None
-        if (
-            missing
-            and missing / len(self.children)
-            > self.config.max_reading_failure_fraction
-        ):
+        if missing and missing / len(self.children) > MAX_READING_FAILURE_FRACTION:
             self.alerts.raise_alert(
                 now_s,
                 Severity.CRITICAL,

@@ -29,6 +29,16 @@ from repro.core.coordinator import PRIORITY_WATCHDOG
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.process import PeriodicProcess
 
+#: Seconds between health sweeps.
+INTERVAL_S = 30.0
+#: The n-th consecutive restart of one agent waits ``BACKOFF_BASE_S *
+#: 2**(n-1)`` seconds before the next, at most ``BACKOFF_MAX_S``.
+BACKOFF_BASE_S = 30.0
+BACKOFF_MAX_S = 480.0
+#: At most this many restarts of one agent per ``BUDGET_WINDOW_S``.
+RESTART_BUDGET = 8
+BUDGET_WINDOW_S = 900.0
+
 
 @dataclass(frozen=True)
 class RestartRecord:
@@ -56,12 +66,6 @@ class AgentWatchdog:
         self,
         engine: SimulationEngine,
         agents: list[DynamoAgent],
-        *,
-        interval_s: float = 30.0,
-        backoff_base_s: float = 30.0,
-        backoff_max_s: float = 480.0,
-        restart_budget: int = 8,
-        budget_window_s: float = 900.0,
     ) -> None:
         self._agents: list[DynamoAgent] = []
         #: server_id -> registration position (the sweep's visit order).
@@ -72,10 +76,6 @@ class AgentWatchdog:
         self._polled: list[str] = []
         #: One bound method serves every agent's health callback.
         self._health_listener = self._on_health_change
-        self._backoff_base_s = float(backoff_base_s)
-        self._backoff_max_s = float(backoff_max_s)
-        self._restart_budget = int(restart_budget)
-        self._budget_window_s = float(budget_window_s)
         self._states: dict[str, _WatchState] = {}
         self.restarts = 0
         self.restarts_suppressed = 0
@@ -83,7 +83,7 @@ class AgentWatchdog:
         self.restart_log: list[RestartRecord] = []
         self._process = PeriodicProcess(
             engine,
-            interval_s,
+            INTERVAL_S,
             self._sweep,
             label="agent-watchdog",
             priority=PRIORITY_WATCHDOG,
@@ -135,10 +135,10 @@ class AgentWatchdog:
             if state is None:
                 state = _WatchState(window_start_s=now_s)
                 self._states[server_id] = state
-            if now_s - state.window_start_s >= self._budget_window_s:
+            if now_s - state.window_start_s >= BUDGET_WINDOW_S:
                 state.window_start_s = now_s
                 state.window_restarts = 0
-            if state.window_restarts >= self._restart_budget:
+            if state.window_restarts >= RESTART_BUDGET:
                 self.restarts_suppressed += 1
                 continue
             if now_s < state.next_restart_s:
@@ -147,8 +147,8 @@ class AgentWatchdog:
             agent.restart()
             state.consecutive_restarts += 1
             state.window_restarts += 1
-            backoff = self._backoff_base_s * 2.0 ** (state.consecutive_restarts - 1)
-            state.next_restart_s = now_s + min(backoff, self._backoff_max_s)
+            backoff = BACKOFF_BASE_S * 2.0 ** (state.consecutive_restarts - 1)
+            state.next_restart_s = now_s + min(backoff, BACKOFF_MAX_S)
             self.restarts += 1
             self.restart_log.append(
                 RestartRecord(

@@ -17,7 +17,7 @@ cadence (minutes, vs seconds for the leaves).  Each tick it:
    proportionally tightened three-band configs via the existing
    ``set_band_config`` seam.  Scaling all three thresholds by a factor
    in (0, 1] keeps the band ordering invariants, and the scale is
-   clamped to at most ``max_shaping`` below baseline — the governor can
+   clamped to at most ``MAX_SHAPING`` below baseline — the governor can
    only make controllers cap *earlier*, never later.
 4. Books the interval in the :class:`~repro.economics.ledger.CostCarbonLedger`.
 
@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-from repro.config import EconomicsConfig, ThreeBandConfig
+from repro.config import ThreeBandConfig
 from repro.core.coordinator import PRIORITY_GOVERNOR
 from repro.core.health import OperatingMode
 from repro.economics.ledger import CostCarbonLedger
@@ -60,6 +60,27 @@ _EWMA_ALPHA = 0.2
 # Allowance this close to 1.0 is "not squeezed" — avoids flapping the
 # deferral state on float dust.
 _ALLOWANCE_EPS = 1e-3
+
+#: How often the governor re-scores the signals and re-shapes.
+GOVERNOR_INTERVAL_S = 60.0
+#: Weights of the normalized price and carbon scores in the composite;
+#: they sum to 1.
+PRICE_WEIGHT = 0.6
+CARBON_WEIGHT = 0.4
+#: Composite score in [0, 1] above which shaping begins.
+SHAPE_THRESHOLD = 0.55
+#: Deepest fractional cut water-filling may take from the fleet demand
+#: budget; also the floor on advisory band scaling (bands never scale
+#: below ``1 - MAX_SHAPING`` of baseline).
+MAX_SHAPING = 0.25
+#: Utilization ceiling applied to deferrable batch workloads while
+#: their priority group is being shaped.
+DEFER_CEILING = 0.40
+#: SLA deadline window for deferred batch work, and the share of it
+#: that may be spent deferred before the governor force-releases and
+#: counts a deadline miss.
+SLA_DEADLINE_S = 86400.0
+SLA_MAX_DEFER_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
@@ -116,10 +137,9 @@ class EconomicGovernor:
         dynamo: "Dynamo",
         fleet: "Fleet",
         *,
-        config: EconomicsConfig | None = None,
         shaping: bool = True,
     ) -> None:
-        config = config if config is not None else dynamo.config.economics
+        config = dynamo.config.economics
         if not config.enabled:
             raise ConfigurationError(
                 "economics is disabled in this DynamoConfig; build the "
@@ -151,7 +171,7 @@ class EconomicGovernor:
         self.last_score = 0.0
         self.process = PeriodicProcess(
             engine,
-            config.governor_interval_s,
+            GOVERNOR_INTERVAL_S,
             self._tick,
             label="econ-governor",
             priority=PRIORITY_GOVERNOR,
@@ -181,28 +201,22 @@ class EconomicGovernor:
     # ------------------------------------------------------------------
 
     def _tick(self, now_s: float) -> None:
-        cfg = self.config
         price_n = normalized_score(self.price, now_s)
         carbon_n = normalized_score(self.carbon, now_s)
-        weight_sum = cfg.price_weight + cfg.carbon_weight
-        score = (
-            cfg.price_weight * price_n + cfg.carbon_weight * carbon_n
-        ) / weight_sum
+        score = PRICE_WEIGHT * price_n + CARBON_WEIGHT * carbon_n
         self.last_score = score
-        excess = max(0.0, score - cfg.shape_threshold) / (
-            1.0 - cfg.shape_threshold
-        )
+        excess = max(0.0, score - SHAPE_THRESHOLD) / (1.0 - SHAPE_THRESHOLD)
         interval_s = self.process.interval_s
 
         # Roll the SLA deadline window.
-        while now_s - self._window_start_s >= cfg.sla_deadline_s:
-            self._window_start_s += cfg.sla_deadline_s
+        while now_s - self._window_start_s >= SLA_DEADLINE_S:
+            self._window_start_s += SLA_DEADLINE_S
             self._window_deferred_s = 0.0
             self._window_missed = False
 
         groups = self._group_demands()
         total_w = sum(g.demand_w for g in groups)
-        budget_w = total_w * (1.0 - cfg.max_shaping * excess)
+        budget_w = total_w * (1.0 - MAX_SHAPING * excess)
         allocation = water_fill(groups, budget_w)
         allowance = {
             g.group: (
@@ -218,7 +232,7 @@ class EconomicGovernor:
         )
         # SLA deadline floor: once this window has spent its deferral
         # budget, batch work must run regardless of price.
-        defer_budget_s = cfg.sla_max_defer_fraction * cfg.sla_deadline_s
+        defer_budget_s = SLA_MAX_DEFER_FRACTION * SLA_DEADLINE_S
         if want_defer and (
             self._window_deferred_s + interval_s > defer_budget_s
         ):
@@ -299,7 +313,7 @@ class EconomicGovernor:
         ]
 
     def _start_deferral(self) -> None:
-        modifier = DeferModifier(ceiling=self.config.defer_ceiling)
+        modifier = DeferModifier(ceiling=DEFER_CEILING)
         self._turbo_disabled = []
         for server_id, server in self._deferrable_servers():
             server.workload.add_modifier(modifier)
@@ -309,7 +323,7 @@ class EconomicGovernor:
         self._deferring = True
 
     def _end_deferral(self) -> None:
-        modifier = DeferModifier(ceiling=self.config.defer_ceiling)
+        modifier = DeferModifier(ceiling=DEFER_CEILING)
         for _, server in self._deferrable_servers():
             # Modifiers compare by value (frozen dataclass), so removal
             # finds the instance added at deferral start; guard anyway
@@ -347,7 +361,7 @@ class EconomicGovernor:
             weighted += power * allowance.get(group, 1.0)
             total += power
         scale = weighted / total if total > 0.0 else 1.0
-        scale = max(1.0 - self.config.max_shaping, min(1.0, scale))
+        scale = max(1.0 - MAX_SHAPING, min(1.0, scale))
         # Quantize to 1% steps: workload noise wiggles the power
         # weighting every tick, and sub-percent band churn is all cost
         # (a replacement per leaf per tick) and no control value.

@@ -1,7 +1,7 @@
 """Per-service power attribution for one leaf device.
 
 The composition target of the nvPAX/allocation direction: given a leaf
-controller's latest readings (measured, stale, or disaggregated) and its
+controller's latest readings (measured or disaggregated) and its
 fitted service models, report where the device's power is going,
 service by service, with the aggregate confidence of each service's
 share.  Consumed by ``python -m repro attribute <device>``.

@@ -12,7 +12,7 @@ back into per-server readings:
    model's own relative prediction error (computed by predicting each
    reading before consuming it — continuous self-validation for free).
 2. **Disaggregate** — on sensor loss, the residual
-   ``device metering − overheads − Σ measured − Σ stale`` is distributed
+   ``device metering − overheads − Σ measured`` is distributed
    across the dark servers proportionally to their model predictions
    (last measured power scaled by the service mean's drift since that
    measurement, falling back to the service mean, then to a generic
@@ -20,9 +20,9 @@ back into per-server readings:
    reconstructed total matches the metered truth up to sensor noise on
    the measured fraction.
 3. **Confidence** — every estimate carries
-   ``clamp(1 − fit error, min_confidence, MAX)`` from its service
+   ``clamp(1 − fit error, MIN_CONFIDENCE, MAX)`` from its service
    model.  The aggregation stage inflates the total by
-   ``uncertainty_inflation × Σ power·(1 − confidence)`` so degraded
+   ``UNCERTAINTY_INFLATION × Σ power·(1 − confidence)`` so degraded
    sensing can only over-cap, never under-cap.
 
 Everything here is deterministic and draw-free: no RNG stream is
@@ -37,7 +37,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.config import EstimationConfig
+#: Below this measured coverage the estimate is not trusted: the cycle
+#: is invalid and the controller escalates toward SAFE.
+SAFE_COVERAGE = 0.40
+#: EWMA smoothing for the per-service mean-power models and their
+#: relative fit error.
+EWMA_ALPHA = 0.2
+#: Aggregate margin per uncertain watt (see :func:`uncertainty_margin_w`).
+UNCERTAINTY_INFLATION = 1.5
+#: Confidence floor for model-estimated readings.
+MIN_CONFIDENCE = 0.05
+#: Last-resort per-server estimate when no model data exists.
+DEFAULT_POWER_W = 200.0
 
 #: Confidence ceiling for anything that is not a direct measurement.
 MAX_ESTIMATE_CONFIDENCE = 0.99
@@ -79,19 +90,17 @@ class ServerEstimate:
     service: str
 
 
-def uncertainty_margin_w(
-    readings: Iterable, inflation: float
-) -> float:
+def uncertainty_margin_w(readings: Iterable) -> float:
     """Aggregate safety margin from per-reading confidence.
 
     Left-to-right sum of ``power · (1 − confidence)`` over readings with
-    confidence below 1.0.
+    confidence below 1.0, scaled by :data:`UNCERTAINTY_INFLATION`.
     """
     margin = 0.0
     for reading in readings:
         if reading.confidence < 1.0:
             margin += reading.power_w * (1.0 - reading.confidence)
-    return margin * inflation
+    return margin * UNCERTAINTY_INFLATION
 
 
 class PowerDisaggregator:
@@ -103,8 +112,7 @@ class PowerDisaggregator:
     where the models train.
     """
 
-    def __init__(self, config: EstimationConfig) -> None:
-        self.config = config
+    def __init__(self) -> None:
         self._services: dict[str, ServiceModel] = {}
         self._servers: dict[str, ServerState] = {}
 
@@ -122,7 +130,7 @@ class PowerDisaggregator:
         broadcast served the readings, so the fitted floats are
         bit-identical either way.
         """
-        alpha = self.config.ewma_alpha
+        alpha = EWMA_ALPHA
         cycle_sum: dict[str, float] = {}
         cycle_count: dict[str, int] = {}
         observed: list[tuple[str, float, str]] = []
@@ -197,20 +205,10 @@ class PowerDisaggregator:
         """Estimate confidence for one service, from its fit error."""
         model = self._services.get(service)
         if model is None or model.ewma_rel_error is None:
-            return max(UNVALIDATED_CONFIDENCE, self.config.min_confidence)
+            return UNVALIDATED_CONFIDENCE
         return min(
             MAX_ESTIMATE_CONFIDENCE,
-            max(self.config.min_confidence, 1.0 - model.ewma_rel_error),
-        )
-
-    def stale_confidence(self, age_s: float, ttl_s: float) -> float:
-        """Confidence of a cache hit, decaying linearly with age."""
-        if ttl_s <= 0.0:
-            return self.config.min_confidence
-        decayed = 1.0 - (age_s / ttl_s) * (1.0 - self.config.min_confidence)
-        return min(
-            MAX_ESTIMATE_CONFIDENCE,
-            max(self.config.min_confidence, decayed),
+            max(MIN_CONFIDENCE, 1.0 - model.ewma_rel_error),
         )
 
     # ------------------------------------------------------------------
@@ -224,7 +222,7 @@ class PowerDisaggregator:
 
         ``dark`` is ``[(server_id, service), ...]`` in the caller's
         deterministic order.  Weights are model predictions with the
-        service mean, then the configured default, as fallbacks; a
+        service mean, then :data:`DEFAULT_POWER_W`, as fallbacks; a
         non-positive residual yields zero-power estimates (the metering
         says the dark servers draw nothing).
         """
@@ -236,7 +234,7 @@ class PowerDisaggregator:
             if weight is None:
                 weight = self.service_mean_w(service)
             if weight is None or weight <= 0.0:
-                weight = self.config.default_power_w
+                weight = DEFAULT_POWER_W
             weights.append(weight)
         total_weight = 0.0
         for weight in weights:
@@ -272,7 +270,7 @@ class PowerDisaggregator:
         return self._servers
 
     def snapshot_state(self) -> dict:
-        """Serializable model state (config is rebuilt by recipe)."""
+        """Serializable model state."""
         return {
             "services": {
                 name: {

@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.config import PHYSICS_BACKENDS, AgentConfig
+from repro.config import PHYSICS_BACKENDS
 from repro.core.coordinator import PRIORITY_FLEET_STEP
 from repro.errors import ConfigurationError
 from repro.power.device import DeviceLevel, PowerDevice
@@ -133,7 +133,6 @@ def populate_fleet(
     rng_streams: RngStreams,
     *,
     attach_level: DeviceLevel | None = None,
-    agent_config: AgentConfig | None = None,
 ) -> Fleet:
     """Create servers and attach them round-robin under the topology.
 
@@ -145,7 +144,6 @@ def populate_fleet(
     """
     attach_points = _attach_points(topology, attach_level)
     fleet = Fleet()
-    agent_config = agent_config or AgentConfig()
     #: One calibration per hardware generation, however many servers.
     templates: dict[ServerPlatform, PlatformTemplate] = {}
     slot = 0
@@ -164,7 +162,6 @@ def populate_fleet(
                 server_id,
                 template,
                 workload,
-                agent_config=agent_config,
                 rng=rng_streams.stream(f"sensor.{server_id}"),
                 turbo_enabled=allocation.turbo_enabled,
             )

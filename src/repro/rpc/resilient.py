@@ -31,7 +31,6 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.config import CallPolicyConfig, CircuitBreakerConfig
 from repro.errors import RpcError, RpcTimeoutError
 from repro.rpc.transport import (
     GroupCapResult,
@@ -42,6 +41,24 @@ from repro.rpc.transport import (
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core -> rpc)
     from repro.core.health import HealthRegistry
+
+#: A reply slower than this is a failed attempt, whatever it carried.
+DEADLINE_S = 1.0
+#: Retry ``n`` (1-based) waits ``BACKOFF_BASE_S * BACKOFF_MULTIPLIER**(n-1)``
+#: seconds, at most ``BACKOFF_MAX_S``, jittered by up to
+#: ``±JITTER_FRACTION`` from the simulation RNG so two runs of the same
+#: seed retry on the identical schedule.
+BACKOFF_BASE_S = 0.05
+BACKOFF_MULTIPLIER = 2.0
+BACKOFF_MAX_S = 1.0
+JITTER_FRACTION = 0.5
+#: A breaker trips on this many attempt failures in a row ...
+CONSECUTIVE_FAILURE_THRESHOLD = 12
+#: ... or on at least this failure rate over the last ``WINDOW_SIZE``
+#: attempts, once ``MIN_SAMPLES`` have been seen.
+FAILURE_RATE_THRESHOLD = 0.6
+WINDOW_SIZE = 40
+MIN_SAMPLES = 25
 
 
 class BreakerState(enum.Enum):
@@ -55,19 +72,18 @@ class BreakerState(enum.Enum):
 class CircuitBreaker:
     """Per-endpoint circuit breaker.
 
-    Trips from CLOSED on either ``consecutive_failure_threshold``
+    Trips from CLOSED on either :data:`CONSECUTIVE_FAILURE_THRESHOLD`
     attempt failures in a row or a failure rate of at least
-    ``failure_rate_threshold`` over the last ``window_size`` attempts
-    (with at least ``min_samples`` seen).  While OPEN, calls are
-    rejected until ``open_duration_s`` has elapsed; the next call then
-    half-opens the breaker and runs as a probe — success closes and
-    resets, failure re-opens (a re-open, distinct from a full trip).
+    :data:`FAILURE_RATE_THRESHOLD` over the last :data:`WINDOW_SIZE`
+    attempts (with at least :data:`MIN_SAMPLES` seen).  The open window
+    is zero: the next call half-opens the breaker and runs as a single
+    probe — success closes and resets, failure re-opens (a re-open,
+    distinct from a full trip).  A tripped endpoint loses its retry
+    burst, but recovery is detected on the first post-repair call: the
+    breaker never makes a healed endpoint look dead.
     """
 
-    def __init__(
-        self, config: CircuitBreakerConfig | None = None, *, name: str = ""
-    ) -> None:
-        self.config = config or CircuitBreakerConfig()
+    def __init__(self, *, name: str = "") -> None:
         self.name = name
         self.state = BreakerState.CLOSED
         self.consecutive_failures = 0
@@ -76,17 +92,12 @@ class CircuitBreaker:
         self.opens = 0
         #: HALF_OPEN probe failures sending the breaker back to OPEN.
         self.reopens = 0
-        self._window: deque[bool] = deque(maxlen=self.config.window_size)
+        self._window: deque[bool] = deque(maxlen=WINDOW_SIZE)
 
-    def allow(self, now_s: float) -> bool:
-        """Whether a call may proceed at ``now_s`` (may half-open)."""
+    def half_open(self) -> None:
+        """Let the next call through an OPEN breaker as its probe."""
         if self.state is BreakerState.OPEN:
-            assert self.opened_at_s is not None
-            if now_s - self.opened_at_s >= self.config.open_duration_s:
-                self.state = BreakerState.HALF_OPEN
-                return True
-            return False
-        return True
+            self.state = BreakerState.HALF_OPEN
 
     def record_success(self, now_s: float) -> None:
         """A successful attempt: close (from a probe) and reset history."""
@@ -110,8 +121,7 @@ class CircuitBreaker:
         if self.state is BreakerState.CLOSED:
             self._window.append(False)
             if (
-                self.consecutive_failures
-                >= self.config.consecutive_failure_threshold
+                self.consecutive_failures >= CONSECUTIVE_FAILURE_THRESHOLD
                 or self._rate_tripped()
             ):
                 self.state = BreakerState.OPEN
@@ -121,12 +131,10 @@ class CircuitBreaker:
         return False
 
     def _rate_tripped(self) -> bool:
-        if len(self._window) < self.config.min_samples:
+        if len(self._window) < MIN_SAMPLES:
             return False
         failures = sum(1 for ok in self._window if not ok)
-        return (
-            failures / len(self._window) >= self.config.failure_rate_threshold
-        )
+        return failures / len(self._window) >= FAILURE_RATE_THRESHOLD
 
     def snapshot_state(self) -> dict:
         """Serializable breaker state including the attempt window."""
@@ -148,8 +156,7 @@ class CircuitBreaker:
         self.opens = int(state["opens"])
         self.reopens = int(state["reopens"])
         self._window = deque(
-            (bool(ok) for ok in state["window"]),
-            maxlen=self.config.window_size,
+            (bool(ok) for ok in state["window"]), maxlen=WINDOW_SIZE
         )
 
     def __repr__(self) -> str:
@@ -171,15 +178,14 @@ class ResilientTransport:
         self,
         inner: Transport,
         *,
-        policy: CallPolicyConfig | None = None,
-        breaker: CircuitBreakerConfig | None = None,
+        max_attempts: int = 3,
         health: "HealthRegistry | None" = None,
         rng: np.random.Generator | None = None,
         clock=None,
     ) -> None:
         self._inner = inner
-        self.policy = policy or CallPolicyConfig()
-        self.breaker_config = breaker or CircuitBreakerConfig()
+        #: Attempts per call, the first included (retries are the rest).
+        self.max_attempts = max_attempts
         if health is None:
             from repro.core.health import HealthRegistry
 
@@ -223,9 +229,7 @@ class ResilientTransport:
         """The (lazily created) circuit breaker for one endpoint."""
         breaker = self._breakers.get(endpoint)
         if breaker is None:
-            breaker = self._breakers[endpoint] = CircuitBreaker(
-                self.breaker_config, name=endpoint
-            )
+            breaker = self._breakers[endpoint] = CircuitBreaker(name=endpoint)
         return breaker
 
     def breaker_state(self, endpoint: str) -> str:
@@ -239,19 +243,16 @@ class ResilientTransport:
     def backoff_delay_s(self, retry_index: int) -> float:
         """The (jittered) backoff before retry ``retry_index`` (1-based).
 
-        Deterministic: the exponential schedule comes from the policy,
-        the jitter from the dedicated RNG stream — same seed, same
-        delays.  Without an RNG the schedule is purely exponential.
+        Deterministic: the exponential schedule is fixed, the jitter
+        comes from the dedicated RNG stream — same seed, same delays.
+        Without an RNG the schedule is purely exponential.
         """
         delay = min(
-            self.policy.backoff_max_s,
-            self.policy.backoff_base_s
-            * self.policy.backoff_multiplier ** (retry_index - 1),
+            BACKOFF_MAX_S,
+            BACKOFF_BASE_S * BACKOFF_MULTIPLIER ** (retry_index - 1),
         )
-        if self._rng is not None and self.policy.jitter_fraction > 0.0:
-            spread = self.policy.jitter_fraction * (
-                2.0 * float(self._rng.random()) - 1.0
-            )
+        if self._rng is not None:
+            spread = JITTER_FRACTION * (2.0 * float(self._rng.random()) - 1.0)
             delay *= 1.0 + spread
         return delay
 
@@ -260,11 +261,11 @@ class ResilientTransport:
     # ------------------------------------------------------------------
 
     def call(self, endpoint: str, method: str, payload: Any = None) -> Any:
-        """One logical call: quarantine gate → breaker gate → attempts.
+        """One logical call: quarantine gate → attempts.
 
         Raises:
-            RpcError: all attempts failed, the breaker is open, or the
-                endpoint is quarantined.
+            RpcError: all attempts failed, or the endpoint is
+                quarantined.
             RpcTimeoutError: the final attempt exceeded the deadline or
                 hit an injected timeout.
         """
@@ -280,14 +281,10 @@ class ResilientTransport:
             self.health.record_fast_fail(endpoint)
             raise RpcError(f"endpoint {endpoint!r} is quarantined")
         breaker = self.breaker(endpoint)
-        if not breaker.allow(now_s):
-            self.health.record_fast_fail(endpoint)
-            raise RpcError(f"circuit open for endpoint {endpoint!r}")
+        breaker.half_open()
         # A half-open breaker gets exactly one probe, not a retry burst.
         attempts = (
-            1
-            if breaker.state is BreakerState.HALF_OPEN
-            else max(1, self.policy.max_attempts)
+            1 if breaker.state is BreakerState.HALF_OPEN else self.max_attempts
         )
         last_exc: RpcError | None = None
         for attempt in range(1, attempts + 1):
@@ -298,12 +295,12 @@ class ResilientTransport:
             try:
                 result = self._inner.call(endpoint, method, payload)
                 latency = getattr(self._inner, "last_call_latency_s", 0.0)
-                if latency > self.policy.deadline_s:
+                if latency > DEADLINE_S:
                     # The reply came back after the caller gave up: the
                     # handler's side effects stand, the result does not.
                     raise RpcTimeoutError(
                         f"call to {endpoint!r} exceeded the "
-                        f"{self.policy.deadline_s:g} s deadline"
+                        f"{DEADLINE_S:g} s deadline"
                     )
             except RpcError as exc:
                 last_exc = exc
@@ -360,42 +357,15 @@ class ResilientTransport:
             if p is not None:
                 fast[p] = False
 
-    def _settle_fast_lane(
-        self,
-        endpoints: list[str],
-        rows: "np.ndarray",
-        fast: "np.ndarray",
-        latencies: "np.ndarray",
-        now_s: float,
-    ) -> list[int]:
-        """Credit fast-lane successes; handle the deadline cold path.
+    def _credit_fast_lane(self, rows: "np.ndarray", fast: "np.ndarray") -> None:
+        """Credit fast-lane successes to the batch's pending counters.
 
-        Returns the positions demoted to failures by the deadline check.
-        With the default 1.0 s deadline against a 2 ms exponential
-        latency the overrun probability per call is e^-500 — the branch
-        exists for configured tight deadlines.  (The scalar path would
-        burn its remaining retry attempts before giving up; the batched
-        path records a single failure — a documented divergence on this
-        practically-unreachable branch.)
+        No deadline check: a fast-lane endpoint has no injected latency
+        (a latency spike drops it to the scalar lane), and a 2 ms
+        exponential draw overruns the 1 s deadline with probability
+        e^-500.
         """
-        demoted: list[int] = []
-        if not fast.any():
-            return demoted
-        batch = self._inner._batch
-        over = fast & (latencies > self.policy.deadline_s)
-        if over.any():
-            for p in np.flatnonzero(over):
-                endpoint = endpoints[int(p)]
-                batch.materialize_pending(endpoint, self)
-                breaker = self.breaker(endpoint)
-                tripped = breaker.record_failure(now_s)
-                self.health.record_failure(endpoint, now_s)
-                if tripped:
-                    self.health.record_breaker_open(endpoint, now_s)
-                fast[p] = False
-                demoted.append(int(p))
-        batch.fast_successes[rows[fast]] += 1
-        return demoted
+        self._inner._batch.fast_successes[rows[fast]] += 1
 
     def group_read_power(
         self, endpoints: list[str]
@@ -426,14 +396,7 @@ class ResilientTransport:
             fast,
             lambda endpoint: self.call(endpoint, "read_power", None),
         )
-        demoted = self._settle_fast_lane(
-            endpoints, plan.rows, result.fast_mask, result.latencies, now_s
-        )
-        for p in demoted:
-            result.failures[endpoints[p]] = RpcTimeoutError(
-                f"call to {endpoints[p]!r} exceeded the "
-                f"{self.policy.deadline_s:g} s deadline"
-            )
+        self._credit_fast_lane(plan.rows, result.fast_mask)
         return result
 
     def group_set_cap(
@@ -452,15 +415,7 @@ class ResilientTransport:
         blocked = set(self._breakers)
         blocked.update(self.health.quarantined_endpoints(now_s))
         result = inner._execute_group_cap(items, blocked, self.call)
-        demoted = self._settle_fast_lane(
-            result.endpoints,
-            result.rows,
-            result.fast_mask,
-            result.latencies,
-            now_s,
-        )
-        for p in demoted:
-            result.status[p] = "error"
+        self._credit_fast_lane(result.rows, result.fast_mask)
         return result
 
     # ------------------------------------------------------------------
@@ -499,5 +454,5 @@ class ResilientTransport:
     def __repr__(self) -> str:
         return (
             f"ResilientTransport(breakers={len(self._breakers)}, "
-            f"policy=attempts<={self.policy.max_attempts})"
+            f"attempts<={self.max_attempts})"
         )

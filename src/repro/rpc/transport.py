@@ -121,11 +121,10 @@ Handler = Callable[[str, Any], Any]
 class GroupReadResult:
     """Outcome of one batched ``read_power`` broadcast.
 
-    Fast-lane endpoints have their sensed power in ``powers`` (and drawn
-    latency in ``latencies``) at their broadcast position, flagged in
-    ``fast_mask``.  Scalar-lane endpoints land in ``results`` /
-    ``failures`` exactly as a plain :meth:`RpcTransport.broadcast`
-    would record them, in broadcast order.
+    Fast-lane endpoints have their sensed power in ``powers`` at their
+    broadcast position, flagged in ``fast_mask``.  Scalar-lane endpoints
+    land in ``results`` / ``failures`` exactly as a plain
+    :meth:`RpcTransport.broadcast` would record them, in broadcast order.
     """
 
     __slots__ = (
@@ -133,7 +132,6 @@ class GroupReadResult:
         "rows",
         "fast_mask",
         "powers",
-        "latencies",
         "results",
         "failures",
     )
@@ -144,7 +142,6 @@ class GroupReadResult:
         rows: np.ndarray,
         fast_mask: np.ndarray,
         powers: np.ndarray,
-        latencies: np.ndarray,
         results: dict[str, Any],
         failures: dict[str, Exception],
     ) -> None:
@@ -152,7 +149,6 @@ class GroupReadResult:
         self.rows = rows
         self.fast_mask = fast_mask
         self.powers = powers
-        self.latencies = latencies
         self.results = results
         self.failures = failures
 
@@ -171,20 +167,16 @@ class GroupCapResult:
       which records neither a success nor a failure).
     """
 
-    __slots__ = ("endpoints", "rows", "fast_mask", "latencies", "status")
+    __slots__ = ("rows", "fast_mask", "status")
 
     def __init__(
         self,
-        endpoints: list[str],
         rows: np.ndarray,
         fast_mask: np.ndarray,
-        latencies: np.ndarray,
         status: list[str],
     ) -> None:
-        self.endpoints = endpoints
         self.rows = rows
         self.fast_mask = fast_mask
-        self.latencies = latencies
         self.status = status
 
 
@@ -444,7 +436,7 @@ class RpcTransport:
                 fast[p] = False
         return fast
 
-    def _draw_group_latencies(self, count: int) -> np.ndarray:
+    def _draw_group_latencies(self, count: int) -> None:
         """`count` per-call latency draws with scalar-identical accounting."""
         self.calls_made += count
         latencies = self._rng.exponential(self._mean_latency_s, size=count)
@@ -454,7 +446,6 @@ class RpcTransport:
             np.cumsum(np.concatenate(([self.total_latency_s], latencies)))[-1]
         )
         self.last_call_latency_s = float(latencies[-1])
-        return latencies
 
     def _execute_group_read(
         self,
@@ -466,7 +457,6 @@ class RpcTransport:
         self.group_rounds += 1
         n = len(endpoints)
         powers = np.zeros(n)
-        latencies = np.zeros(n)
         results: dict[str, Any] = {}
         failures: dict[str, Exception] = {}
         batch = self._batch
@@ -477,7 +467,7 @@ class RpcTransport:
             if i == j:
                 continue
             if fast[i]:
-                latencies[i:j] = self._draw_group_latencies(j - i)
+                self._draw_group_latencies(j - i)
                 powers[i:j] = batch.read_power(rows[i:j])
                 self.group_fast_endpoint_calls += j - i
             else:
@@ -489,7 +479,7 @@ class RpcTransport:
                     except RpcError as exc:
                         failures[endpoint] = exc
         return GroupReadResult(
-            endpoints, rows, fast, powers, latencies, results, failures
+            endpoints, rows, fast, powers, results, failures
         )
 
     def _execute_group_cap(
@@ -524,7 +514,6 @@ class RpcTransport:
                 continue
             rows[p] = row
             fast[p] = True
-        latencies = np.zeros(n)
         status: list[str] = ["noop"] * n
         # Segment on both lane and cap/uncap so each fast run issues one
         # homogeneous batch.set_cap.
@@ -536,7 +525,7 @@ class RpcTransport:
             if i == j:
                 continue
             if fast[i]:
-                latencies[i:j] = self._draw_group_latencies(j - i)
+                self._draw_group_latencies(j - i)
                 if is_uncap[i]:
                     batch.set_cap(rows[i:j], None)
                 else:
@@ -560,13 +549,7 @@ class RpcTransport:
                             response.success or response.message
                         ):
                             status[p] = "ok"
-        return GroupCapResult(
-            [endpoint for endpoint, _sid, _limit in items],
-            rows,
-            fast,
-            latencies,
-            status,
-        )
+        return GroupCapResult(rows, fast, status)
 
     def group_read_power(
         self, endpoints: list[str]

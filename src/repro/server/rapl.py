@@ -18,9 +18,13 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from repro.config import RaplConfig
 from repro.errors import CappingError
 from repro.simulation.soa import ArraySlot, array_backed
+
+#: Time for a cap or uncap to take effect and stabilize (Figure 9).
+SETTLING_TIME_S = 2.0
+#: Lowest limit RAPL accepts, whatever the platform's own floor.
+MIN_LIMIT_W = 50.0
 
 
 class RaplModule:
@@ -36,18 +40,16 @@ class RaplModule:
 
     def __init__(
         self,
-        config: RaplConfig | None = None,
         *,
         min_cap_w: float = 0.0,
         initial_power_w: float = 0.0,
     ) -> None:
-        self.config = config or RaplConfig()
-        self._min_cap_w = max(min_cap_w, self.config.min_limit_w)
+        self._min_cap_w = max(min_cap_w, MIN_LIMIT_W)
         self._limit_listeners: tuple[Callable[[RaplModule], None], ...] = ()
         self._limit_w = None
         self._enforced_power_w = float(initial_power_w)
         # First-order time constant: ~95% settled at 3 * tau.
-        self._tau_s = self.config.settling_time_s / 3.0
+        self._tau_s = SETTLING_TIME_S / 3.0
 
     @property
     def _limit_w(self) -> float | None:

@@ -21,7 +21,6 @@ from typing import Callable, Protocol
 
 import numpy as np
 
-from repro.config import AgentConfig
 from repro.server.estimator import PowerEstimator, calibrate_from_model
 from repro.server.platform import ServerPlatform
 from repro.server.power_model import PowerModel
@@ -120,7 +119,6 @@ class Server:
         platform: ServerPlatform | PlatformTemplate,
         workload: Workload,
         *,
-        agent_config: AgentConfig | None = None,
         rng: np.random.Generator | None = None,
         turbo_enabled: bool = False,
     ) -> None:
@@ -135,16 +133,14 @@ class Server:
         self.workload = workload
         self.power_model = template.power_model
         self.turbo = TurboBoost(platform, enabled=turbo_enabled)
-        config = agent_config or AgentConfig()
         self.rapl = RaplModule(
-            config.rapl,
             min_cap_w=platform.effective_min_cap_w(),
             initial_power_w=platform.idle_power_w,
         )
         self._sensor_listener = None
         self._sensor: PowerSensor | None = None
         if platform.has_power_sensor:
-            self._sensor = PowerSensor(config.sensor_noise_fraction, rng)
+            self._sensor = PowerSensor(rng=rng)
         #: Shared with the template until something recalibrates it.
         self.estimator: PowerEstimator = template.estimator
         self._current_power_w = platform.idle_power_w

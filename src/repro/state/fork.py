@@ -40,14 +40,13 @@ def fork_branch(
     """Restore one divergent branch of ``snapshot``.
 
     The branch's random streams are re-derived from the root seed via
-    ``rng.fork(f"{fork_stream}-{index}")``: every named stream the
+    ``rng.fork(f"branch-{index}")``: every named stream the
     captured world had drawn from — workloads, sensors, chaos — plus the
     RPC transport generators are overwritten in place with the branch
     family's streams.  Same snapshot + same index ⇒ same branch, always.
     """
     world = SnapshotRegistry().restore(snapshot)
-    stem = world.dynamo.config.snapshot.fork_stream
-    branch = world.rng.fork(f"{stem}-{index}")
+    branch = world.rng.fork(f"branch-{index}")
     for name in snapshot.state["rng"]["streams"]:
         world.rng.stream(name).bit_generator.state = branch.stream(
             name

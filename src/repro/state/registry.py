@@ -96,7 +96,7 @@ class SnapshotRegistry:
     # ------------------------------------------------------------------
 
     def capture(
-        self, world: World, *, include_traces: bool | None = None
+        self, world: World, *, include_traces: bool = True
     ) -> WorldSnapshot:
         """Walk the world and capture a :class:`WorldSnapshot`.
 
@@ -112,8 +112,6 @@ class SnapshotRegistry:
                 f"world {world.name!r} has no recipe to rebuild it from; "
                 "build it from the recipe table to snapshot it"
             )
-        if include_traces is None:
-            include_traces = world.dynamo.config.snapshot.include_traces
         # The vectorized backend prefetches RNG draws speculatively;
         # rewind every stream to its logical position before capturing
         # generator states, or the resumed run would skip draws.

@@ -7,15 +7,16 @@ walked out of every component.  The on-disk format is a JSON envelope::
 
     {
       "format": "repro-world-snapshot",
-      "schema_version": 1,
+      "schema_version": 2,
       "recipe": {"builder": ..., "kwargs": {...}},
-      "integrity": "sha256:<hex of the canonical state payload>",
+      "integrity": "sha256:<hex of the canonical recipe and state>",
       "state": {...}
     }
 
 The integrity hash covers the canonical (sorted-keys) serialization of
-the state payload, so any corruption or hand-editing is detected at
-load.  Loading a snapshot written by a different schema version raises
+the recipe and the state payload together, so any corruption or
+hand-editing of either — a changed seed rebuilds a different world
+under the same state — is detected at load.  Loading a snapshot written by a different schema version raises
 :class:`~repro.errors.SnapshotVersionError` — there is deliberately no
 best-effort migration path: a snapshot is a precise machine state, and
 a partially understood one is worse than none.
@@ -45,7 +46,7 @@ FORMAT_MARKER = "repro-world-snapshot"
 
 #: Current schema version.  Bump on ANY change to the captured state
 #: layout; old snapshots are then rejected, not misread.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def canonical_json(payload: Any) -> str:
@@ -64,6 +65,11 @@ def state_digest(state: dict) -> str:
     """``sha256:<hex>`` over the canonical state payload."""
     digest = hashlib.sha256(canonical_json(state).encode("utf-8")).hexdigest()
     return f"sha256:{digest}"
+
+
+def _integrity(recipe: dict, state: dict) -> str:
+    """The envelope's content hash: recipe and state together."""
+    return state_digest({"recipe": recipe, "state": state})
 
 
 @dataclass(frozen=True)
@@ -86,8 +92,8 @@ class WorldSnapshot:
         return float(self.state["engine"]["now"])
 
     def integrity(self) -> str:
-        """The content hash of this snapshot's state payload."""
-        return state_digest(self.state)
+        """The content hash of this snapshot's recipe and state."""
+        return _integrity(self.recipe, self.state)
 
     def to_envelope(self) -> dict:
         """The JSON envelope written to disk."""
@@ -125,7 +131,7 @@ class WorldSnapshot:
             SnapshotError: not a snapshot envelope, or one whose
                 version, recipe or state is malformed.
             SnapshotVersionError: written by an incompatible schema.
-            SnapshotIntegrityError: state payload does not match the
+            SnapshotIntegrityError: recipe and state do not match the
                 recorded content hash.
         """
         if (
@@ -144,8 +150,7 @@ class WorldSnapshot:
             ) from None
         if version != SCHEMA_VERSION:
             raise SnapshotVersionError(version, SCHEMA_VERSION)
-        # The integrity hash covers the state only, so the recipe's
-        # shape is checked here; build_world checks its kwargs.
+        # The recipe's shape is checked here, its kwargs by build_world.
         recipe = envelope.get("recipe")
         if not isinstance(recipe, dict) or not isinstance(
             recipe.get("builder"), str
@@ -158,7 +163,7 @@ class WorldSnapshot:
         if not isinstance(state, dict):
             raise SnapshotError(f"{origin} has no state payload")
         recorded = envelope.get("integrity", "")
-        actual = state_digest(state)
+        actual = _integrity(recipe, state)
         if recorded != actual:
             raise SnapshotIntegrityError(
                 f"snapshot {origin} failed integrity verification: "
@@ -178,7 +183,7 @@ class WorldSnapshot:
         Raises:
             SnapshotError: not a snapshot file, or malformed JSON.
             SnapshotVersionError: written by an incompatible schema.
-            SnapshotIntegrityError: state payload does not match the
+            SnapshotIntegrityError: recipe and state do not match the
                 recorded content hash.
         """
         path = Path(path)

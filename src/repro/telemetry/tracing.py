@@ -53,12 +53,10 @@ class TickTrace:
     decide_duration_s: float
     actuate_duration_s: float
     detail: str = ""
-    #: Failed pulls served from the last-known-good reading cache.
-    pulls_stale: int = 0
     #: The controller's operating posture when the tick ran.
     mode: str = "normal"
-    #: Fraction of pulls resolved by measurement or the stale cache
-    #: (1.0 on fully healthy cycles).
+    #: Fraction of pulls resolved by measurement (1.0 on fully healthy
+    #: cycles).
     coverage_fraction: float = 1.0
     #: Dark servers reconstructed by the disaggregation estimator.
     disaggregated: int = 0
@@ -97,7 +95,6 @@ class TickTrace:
         flags = "ok" if self.valid else "invalid"
         # Resilience annotations appear only when they carry signal, so
         # legacy (and golden-fingerprint) renders stay byte-identical.
-        stale = f" stale={self.pulls_stale}" if self.pulls_stale else ""
         mode = f" mode={self.mode}" if self.mode != "normal" else ""
         disagg = (
             f" cov={self.coverage_fraction:.2f}"
@@ -112,7 +109,7 @@ class TickTrace:
             f" agg={aggregate}W limit={limit}W"
             f" cut={self.cut_requested_w:.1f}/{self.cut_allocated_w:.1f}W"
             f" act={self.actuation_successes}+{self.actuation_failures}f"
-            f" capped={self.capped_after}{stale}{mode}{disagg}"
+            f" capped={self.capped_after}{mode}{disagg}"
         )
 
 
@@ -143,7 +140,6 @@ class TraceBuilder:
     decide_duration_s: float = 0.0
     actuate_duration_s: float = 0.0
     detail: str = ""
-    pulls_stale: int = 0
     mode: str = "normal"
     coverage_fraction: float = 1.0
     disaggregated: int = 0
@@ -175,7 +171,6 @@ class TraceBuilder:
             decide_duration_s=self.decide_duration_s,
             actuate_duration_s=self.actuate_duration_s,
             detail=self.detail,
-            pulls_stale=self.pulls_stale,
             mode=self.mode,
             coverage_fraction=self.coverage_fraction,
             disaggregated=self.disaggregated,
@@ -195,7 +190,6 @@ class TraceMetrics:
     pulls_attempted: int = 0
     pulls_failed: int = 0
     pulls_estimated: int = 0
-    pulls_stale: int = 0
     pulls_disaggregated: int = 0
     min_coverage_fraction: float = 1.0
     max_estimation_error_w: float = 0.0
@@ -224,7 +218,6 @@ class TraceMetrics:
                 f"{self.pulls_attempted - self.pulls_failed}"
                 f"/{self.pulls_failed}/{self.pulls_estimated}",
             ),
-            ("stale reads served", str(self.pulls_stale)),
             ("pulls disaggregated", str(self.pulls_disaggregated)),
             ("min sensing coverage", f"{self.min_coverage_fraction:.2f}"),
             (
@@ -333,7 +326,6 @@ class TraceBuffer:
             pulls_attempted=sum(t.pulls_attempted for t in traces),
             pulls_failed=sum(t.pulls_failed for t in traces),
             pulls_estimated=sum(t.pulls_estimated for t in traces),
-            pulls_stale=sum(t.pulls_stale for t in traces),
             pulls_disaggregated=sum(t.disaggregated for t in traces),
             min_coverage_fraction=min(
                 t.coverage_fraction for t in traces

@@ -45,20 +45,35 @@ class TestParser:
         assert args2.duration_h == 0.5
 
     def test_one_process_one_execution_path(self, capsys):
-        """There is no second execution path to select, anywhere."""
+        """There is no second execution path to select, anywhere.
+
+        No CLI flag picks one, and no field anywhere in the
+        ``DynamoConfig`` tree names an execution backend or a shard
+        count.
+        """
         import dataclasses
 
-        from repro.config import FleetConfig
+        from repro.config import DynamoConfig
 
         for flag in (["--execution-backend", "sharded"], ["--shards", "2"]):
             with pytest.raises(SystemExit) as exit_info:
                 main(["run", "quickstart", *flag])
             assert exit_info.value.code == 2
             assert "unrecognized arguments" in capsys.readouterr().err
-        assert [f.name for f in dataclasses.fields(FleetConfig)] == [
-            "prefetch_draws",
-            "device_metering",
-        ]
+
+        def field_names(cls):
+            for f in dataclasses.fields(cls):
+                yield f.name
+                if isinstance(f.default_factory, type):
+                    yield from field_names(f.default_factory)
+
+        names = list(field_names(DynamoConfig))
+        assert "leaf_pull_interval_s" in names  # the walk reaches the leaves
+        assert not [
+            name
+            for name in names
+            if "backend" in name or "shard" in name or "execution" in name
+        ], names
 
 
 class TestExecution:
@@ -321,6 +336,20 @@ class TestTraceCommand:
         assert "rpp0.0.0" in out
 
 
+def _without_scenario(envelope):
+    """Drop the chaos recipe's scenario and re-seal the envelope.
+
+    What a snapshot captured from such a recipe would hold: the
+    integrity hash matches, so the refusal comes from the restore.
+    """
+    from repro.state import WorldSnapshot
+
+    del envelope["recipe"]["kwargs"]["scenario"]
+    envelope["integrity"] = WorldSnapshot(
+        recipe=envelope["recipe"], state=envelope["state"]
+    ).integrity()
+
+
 class TestExitCodes:
     """Operational errors exit 2 with a one-line message, not a traceback."""
 
@@ -383,7 +412,7 @@ class TestExitCodes:
             (lambda e: e.pop("recipe"), "malformed recipe None"),
             (lambda e: e.update(recipe=["chaos"]), "malformed recipe ['chaos']"),
             (lambda e: e.update(schema_version="x"), "malformed schema_version"),
-            (lambda e: e["recipe"]["kwargs"].pop("scenario"), "scenario"),
+            (_without_scenario, "scenario"),
         ],
         ids=["no-recipe", "list-recipe", "text-version", "no-scenario"],
     )
@@ -400,6 +429,30 @@ class TestExitCodes:
         assert main([*verb, str(path)]) == 2
         err = capsys.readouterr().err
         assert "repro: snapshot error" in err and named in err
+        assert "Traceback" not in err
+
+    @pytest.fixture(scope="class")
+    def econ_envelope(self):
+        from repro.state import SnapshotRegistry, build_world, named_recipe
+
+        world = build_world(named_recipe("price-spike-day", seed=3))
+        world.run_until(60.0)
+        return SnapshotRegistry().capture(world).to_envelope()
+
+    @pytest.mark.parametrize("key, value", [("seed", 4), ("governed", False)])
+    def test_edited_recipe_exits_2(
+        self, capsys, tmp_path, econ_envelope, key, value
+    ):
+        import copy
+        import json
+
+        envelope = copy.deepcopy(econ_envelope)
+        envelope["recipe"]["kwargs"][key] = value
+        path = tmp_path / "snap.json"
+        path.write_text(json.dumps(envelope))
+        assert main(["snapshot", "restore", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "failed integrity verification" in err
         assert "Traceback" not in err
 
     def test_schema_version_mismatch_exits_2(self, capsys, tmp_path):

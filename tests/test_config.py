@@ -3,11 +3,10 @@
 import pytest
 
 from repro.config import (
-    AgentConfig,
-    BucketConfig,
     ControllerConfig,
     DynamoConfig,
-    RaplConfig,
+    EconomicsConfig,
+    ResilienceConfig,
     ThreeBandConfig,
 )
 from repro.errors import ConfigurationError
@@ -56,48 +55,57 @@ class TestControllerConfig:
         with pytest.raises(ConfigurationError):
             ControllerConfig(leaf_pull_interval_s=5.0, upper_pull_interval_s=4.0)
 
-    def test_rejects_bad_failure_fraction(self):
-        with pytest.raises(ConfigurationError):
-            ControllerConfig(max_reading_failure_fraction=1.5)
-
     def test_default_failure_fraction_is_20_percent(self):
-        assert ControllerConfig().max_reading_failure_fraction == pytest.approx(0.20)
+        from repro.core.controller import MAX_READING_FAILURE_FRACTION
+
+        assert MAX_READING_FAILURE_FRACTION == pytest.approx(0.20)
 
 
-class TestBucketConfig:
-    def test_paper_default_width(self):
-        assert BucketConfig().bucket_width_w == 20.0
+class TestPaperConstants:
+    """The paper's design numbers, fixed beside the code that reads them."""
 
-    def test_rejects_nonpositive_width(self):
+    def test_bucket_width_is_20_w(self):
+        from repro.core.capping_plan import BUCKET_WIDTH_W
+
+        assert BUCKET_WIDTH_W == 20.0
+
+    def test_rapl_settling_matches_figure9(self):
+        from repro.server.rapl import SETTLING_TIME_S
+
+        assert SETTLING_TIME_S == pytest.approx(2.0)
+
+
+class TestResilienceConfig:
+    def test_rejects_zero_attempts(self):
         with pytest.raises(ConfigurationError):
-            BucketConfig(bucket_width_w=0.0)
+            ResilienceConfig(max_attempts=0)
 
-
-class TestRaplConfig:
-    def test_default_settling_matches_figure9(self):
-        assert RaplConfig().settling_time_s == pytest.approx(2.0)
-
-    def test_rejects_nonpositive_settling(self):
+    def test_rejects_negative_quarantine_count(self):
         with pytest.raises(ConfigurationError):
-            RaplConfig(settling_time_s=-1.0)
+            ResilienceConfig(quarantine_after_opens=-1)
 
-    def test_rejects_negative_min_limit(self):
+
+class TestEconomicsConfig:
+    def test_rejects_empty_signal_name(self):
         with pytest.raises(ConfigurationError):
-            RaplConfig(min_limit_w=-5.0)
+            EconomicsConfig(price_signal="")
 
 
 class TestDynamoConfig:
     def test_default_leaf_level_is_rpp(self):
         # Footnote 2: Facebook skips rack-level controllers.
-        assert DynamoConfig().leaf_level == "rpp"
+        from repro.core.hierarchy import LEAF_LEVEL
+        from repro.power.device import DeviceLevel
+
+        assert LEAF_LEVEL is DeviceLevel.RPP
 
     def test_nested_defaults_present(self):
         cfg = DynamoConfig()
         assert isinstance(cfg.controller, ControllerConfig)
-        assert isinstance(cfg.bucket, BucketConfig)
-        assert isinstance(cfg.agent, AgentConfig)
+        assert isinstance(cfg.resilience, ResilienceConfig)
+        assert isinstance(cfg.economics, EconomicsConfig)
 
     def test_frozen(self):
         cfg = DynamoConfig()
         with pytest.raises(AttributeError):
-            cfg.leaf_level = "rack"  # type: ignore[misc]
+            cfg.controller = ControllerConfig()  # type: ignore[misc]

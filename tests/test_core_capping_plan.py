@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.config import BucketConfig
 from repro.core.capping_plan import build_capping_plan
 from repro.core.messages import PowerReading
 from repro.core.priority import PriorityPolicy
@@ -140,14 +139,15 @@ class TestCappingPlan:
         assert plan.cap_for("ghost") is None
 
     def test_bucket_config_respected(self):
-        readings = [
-            reading("h1", 300.0, "hadoop"),
-            reading("h2", 200.0, "hadoop"),
-        ]
-        # Huge bucket: even split despite power difference.
-        plan = build_capping_plan(
-            readings, 40.0, self.policy, bucket=BucketConfig(bucket_width_w=1e6)
-        )
-        cuts = {c.server_id: c.cut_w for c in plan.cuts}
-        assert cuts["h1"] == pytest.approx(20.0)
-        assert cuts["h2"] == pytest.approx(20.0)
+        # 20 W buckets: 339 W and 321 W share the [320, 340) bucket and
+        # split the cut; 319 W sits one bucket lower and is spared.
+        def cuts(h2_power):
+            plan = build_capping_plan(
+                [reading("h1", 339.0, "hadoop"), reading("h2", h2_power, "hadoop")],
+                2.0,
+                self.policy,
+            )
+            return {c.server_id: c.cut_w for c in plan.cuts}
+
+        assert cuts(321.0) == {"h1": pytest.approx(1.0), "h2": pytest.approx(1.0)}
+        assert cuts(319.0) == {"h1": pytest.approx(2.0), "h2": 0.0}

@@ -101,9 +101,8 @@ class TestRunning:
         dynamo.start()
         agent = next(iter(dynamo.agents.values()))
         agent.crash()
-        engine.run_until(
-            dynamo.config.agent.watchdog_interval_s + 5.0
-        )
+        # The first sweep runs one 30 s watchdog interval after start.
+        engine.run_until(35.0)
         assert agent.healthy
         assert dynamo.watchdog.restarts == 1
 

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.config import DynamoConfig
 from repro.core.coordinator import ControllerCoordinator
 from repro.core.failover import FailoverController
 from repro.core.hierarchy import build_controller_hierarchy
@@ -57,20 +56,6 @@ class TestHierarchyBuilding:
         leaf = hierarchy.leaf_controllers["rpp0.0.0"]
         assert leaf.server_ids == ["deep"]
 
-    def test_rack_leaf_level(self):
-        topo = build_datacenter(
-            DataCenterSpec(
-                name="t", msb_count=1, sbs_per_msb=1, rpps_per_sb=1,
-                racks_per_rpp=2,
-            )
-        )
-        config = DynamoConfig(leaf_level="rack")
-        hierarchy = build_controller_hierarchy(
-            topo, make_transport(), config=config
-        )
-        assert "rack0.0.0.0" in hierarchy.leaf_controllers
-        assert "rpp0.0.0" in hierarchy.upper_controllers
-
     def test_children_wired_to_parents(self):
         topo = tiny_topology()
         hierarchy = build_controller_hierarchy(topo, make_transport())
@@ -88,13 +73,6 @@ class TestHierarchyBuilding:
         )
         with pytest.raises(ConfigurationError):
             hierarchy.controller("ghost")
-
-    def test_unknown_leaf_level_rejected(self):
-        topo = tiny_topology()
-        with pytest.raises(ConfigurationError):
-            build_controller_hierarchy(
-                topo, make_transport(), config=DynamoConfig(leaf_level="pdu")
-            )
 
 
 class TestCoordinator:
@@ -188,7 +166,7 @@ class TestWatchdog:
         agents = [
             DynamoAgent(make_server(f"s{i}"), transport) for i in range(3)
         ]
-        watchdog = AgentWatchdog(engine, agents, interval_s=30.0)
+        watchdog = AgentWatchdog(engine, agents)
         watchdog.start()
         agents[0].crash()
         agents[2].crash()
@@ -199,26 +177,26 @@ class TestWatchdog:
     def test_no_restarts_when_healthy(self, engine):
         transport = make_transport()
         agents = [DynamoAgent(make_server("s0"), transport)]
-        watchdog = AgentWatchdog(engine, agents, interval_s=10.0)
+        watchdog = AgentWatchdog(engine, agents)
         watchdog.start()
         engine.run_until(100.0)
         assert watchdog.restarts == 0
 
     def test_add_agent(self, engine):
         transport = make_transport()
-        watchdog = AgentWatchdog(engine, [], interval_s=10.0)
+        watchdog = AgentWatchdog(engine, [])
         agent = DynamoAgent(make_server("s0"), transport)
         watchdog.add_agent(agent)
         assert watchdog.agent_count == 1
         watchdog.start()
         agent.crash()
-        engine.run_until(11.0)
+        engine.run_until(31.0)
         assert agent.healthy
 
     def test_stop(self, engine):
         transport = make_transport()
         agent = DynamoAgent(make_server("s0"), transport)
-        watchdog = AgentWatchdog(engine, [agent], interval_s=10.0)
+        watchdog = AgentWatchdog(engine, [agent])
         watchdog.start()
         engine.run_until(5.0)
         watchdog.stop()

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.config import ControllerConfig
 from repro.core.agent import DynamoAgent
 from repro.core.leaf_controller import (
     LeafPowerController,
@@ -224,78 +223,6 @@ class TestBreakerValidation:
     def test_no_aggregate_yet_passes(self):
         rig = Rig(n=2)
         assert rig.controller.validate_against_breaker(1_000.0, 0.0)
-
-
-class TestReadingCache:
-    """Stale-tolerant sensing: last-known-good readings with a TTL."""
-
-    def _rig(self, ttl, n=10):
-        rig = Rig(n=n)
-        rig.controller = LeafPowerController(
-            rig.device,
-            [s.server_id for s in rig.servers],
-            rig.transport,
-            config=ControllerConfig(reading_cache_ttl_s=ttl),
-        )
-        return rig
-
-    def test_fresh_cache_serves_stale_reading(self):
-        rig = self._rig(ttl=10.0)
-        rig.controller.tick(0.0)  # prime the cache
-        rig.transport.injector.take_down("agent:s0")
-        rig.controller.tick(3.0)
-        trace = rig.controller.last_trace
-        assert trace.pulls_failed == 1
-        assert trace.pulls_stale == 1
-        assert trace.pulls_estimated == 0
-        assert trace.valid
-
-    def test_expired_cache_falls_back_to_estimation(self):
-        rig = self._rig(ttl=5.0)
-        rig.controller.tick(0.0)  # cached readings are stamped 0.0
-        rig.transport.injector.take_down("agent:s0")
-        rig.controller.tick(3.0)
-        assert rig.controller.last_trace.pulls_stale == 1
-        # The cache entry is not refreshed by a failed pull, so by 9.0
-        # it has aged past the 5 s TTL.
-        rig.controller.tick(9.0)
-        trace = rig.controller.last_trace
-        assert trace.pulls_stale == 0
-        assert trace.pulls_estimated == 1
-
-    def test_zero_ttl_disables_the_cache(self):
-        rig = self._rig(ttl=0.0)
-        rig.controller.tick(0.0)
-        rig.transport.injector.take_down("agent:s0")
-        rig.controller.tick(3.0)
-        trace = rig.controller.last_trace
-        assert trace.pulls_stale == 0
-        assert trace.pulls_estimated == 1
-
-    def test_stale_reads_do_not_count_toward_abort(self):
-        # 5 of 10 pulls fail (50% > the 20% abort rule), but every one
-        # is served from a fresh cache: the cycle stays valid.
-        rig = self._rig(ttl=30.0)
-        rig.controller.tick(0.0)
-        for i in range(5):
-            rig.transport.injector.take_down(f"agent:s{i}")
-        rig.controller.tick(3.0)
-        trace = rig.controller.last_trace
-        assert trace.pulls_failed == 5
-        assert trace.pulls_stale == 5
-        assert trace.valid
-        assert rig.controller.invalid_cycles == 0
-
-    def test_cache_keeps_the_genuine_reading(self):
-        # Serving a stale copy must not mark the cache entry itself
-        # stale: it stays the genuine last measurement.
-        rig = self._rig(ttl=10.0)
-        rig.controller.tick(0.0)
-        rig.transport.injector.take_down("agent:s0")
-        rig.controller.tick(3.0)
-        cached = rig.controller.snapshot_state()["last_readings"]["s0"]
-        assert not cached["stale"]
-        assert cached["time_s"] == 0.0
 
 
 class TestNonServerComponents:

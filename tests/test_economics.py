@@ -10,6 +10,11 @@ from repro.config import DynamoConfig, EconomicsConfig
 from repro.core.dynamo import Dynamo
 from repro.core.health import OperatingMode
 from repro.economics.governor import (
+    DEFER_CEILING,
+    MAX_SHAPING,
+    SHAPE_THRESHOLD,
+    SLA_DEADLINE_S,
+    SLA_MAX_DEFER_FRACTION,
     EconomicGovernor,
     GroupDemand,
     water_fill,
@@ -302,14 +307,12 @@ class TestEconScenarios:
 # ---------------------------------------------------------------------------
 
 #: A price day that is expensive from t=300 s to t=1200 s and cheap
-#: otherwise, scored alone (carbon flat and weightless) — the sharpest
-#: possible shaping stimulus for short test horizons.
+#: otherwise, against a flat carbon signal (which scores 0) — the
+#: ``price-spike-surge`` drill's stimulus, sized for short horizons.
 SPIKE_CONFIG = EconomicsConfig(
     enabled=True,
     price_signal="price-spike-early",
     carbon_signal="carbon-flat",
-    price_weight=1.0,
-    carbon_weight=0.0,
 )
 
 
@@ -353,11 +356,8 @@ def batch_servers(fleet):
 
 class TestGovernor:
     def test_requires_enabled_config(self):
-        engine, dynamo, fleet, _, _ = build_test_world(SPIKE_CONFIG)
         with pytest.raises(ConfigurationError, match="disabled"):
-            EconomicGovernor(
-                engine, dynamo, fleet, config=EconomicsConfig()
-            )
+            build_test_world(EconomicsConfig())
 
     def test_flat_day_is_a_no_op(self):
         world = run_econ_day("flat-day", seed=1, duration_s=1800.0)
@@ -374,7 +374,7 @@ class TestGovernor:
 
     def test_spike_defers_batch_then_releases(self):
         engine, _, fleet, governor, _ = build_test_world(SPIKE_CONFIG)
-        ceiling = governor.config.defer_ceiling
+        ceiling = DEFER_CEILING
         engine.run_until(900.0)  # mid-spike
         assert governor.deferring
         for server in batch_servers(fleet):
@@ -396,7 +396,7 @@ class TestGovernor:
     def test_spike_tightens_bands_then_restores(self):
         engine, dynamo, _, governor, _ = build_test_world(SPIKE_CONFIG)
         engine.run_until(900.0)
-        floor = 1.0 - governor.config.max_shaping
+        floor = 1.0 - MAX_SHAPING
         shaped = {
             name: scale
             for name, scale in governor.applied_scale.items()
@@ -451,31 +451,29 @@ class TestGovernor:
         )
 
     def test_sla_deadline_forces_release_and_counts_miss(self):
-        config = EconomicsConfig(
-            enabled=True,
-            price_signal="price-spike-early",
-            carbon_signal="carbon-flat",
-            price_weight=1.0,
-            carbon_weight=0.0,
-            sla_deadline_s=600.0,
-            sla_max_defer_fraction=0.3,  # 180 s of deferral per window
-        )
-        engine, _, fleet, governor, _ = build_test_world(config)
-        engine.run_until(900.0)
+        engine, _, fleet, governor, _ = build_test_world(SPIKE_CONFIG)
+        # Enter the spike with the day's window nearly spent (180 s of
+        # its 12 h deferral budget left), and roll the window at 720 s.
+        budget_s = SLA_MAX_DEFER_FRACTION * SLA_DEADLINE_S
+        governor._window_deferred_s = budget_s - 180.0
+        governor._window_start_s = 720.0 - SLA_DEADLINE_S
+        engine.run_until(700.0)
         ledger = governor.ledger
-        assert ledger.sla_deadline_misses >= 1
-        # The deadline floor capped each window's deferral at its budget.
-        assert ledger.deferral_active_s <= 2 * 180.0
-        # The spike is still on but batch work was force-released at
-        # least once: deferral restarted in a fresh window.
-        assert ledger.defer_windows >= 2
+        assert ledger.sla_deadline_misses == 1
+        assert not governor.deferring
+        # The deadline floor capped the window's deferral at its budget.
+        assert ledger.deferral_active_s <= 180.0
+        # The spike is still on: deferral restarts in the fresh window.
+        engine.run_until(900.0)
+        assert governor.deferring
+        assert ledger.defer_windows == 2
 
     def test_blind_governor_meters_without_acting(self):
         engine, _, fleet, governor, _ = build_test_world(
             SPIKE_CONFIG, shaping=False
         )
         engine.run_until(900.0)  # mid-spike
-        assert governor.last_score > 0.9
+        assert governor.last_score > SHAPE_THRESHOLD
         assert not governor.deferring
         assert governor.applied_scale == {}
         assert governor.ledger.shaped_intervals == 0

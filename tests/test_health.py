@@ -9,7 +9,6 @@ from repro.core.health import (
     ModeStateMachine,
     OperatingMode,
 )
-from repro.errors import ConfigurationError
 from repro.telemetry.alerts import AlertSink, Severity
 
 
@@ -75,15 +74,14 @@ class TestHealthRegistry:
         assert not registry.is_quarantined("ghost", 0.0)
 
     def test_quarantine_after_repeat_opens(self):
-        registry = HealthRegistry(
-            quarantine_after_opens=2, quarantine_duration_s=60.0
-        )
+        # Quarantined for QUARANTINE_DURATION_S = 120 s.
+        registry = HealthRegistry(quarantine_after_opens=2)
         registry.record_breaker_open("x", 0.0)
         assert not registry.is_quarantined("x", 0.0)
         registry.record_breaker_open("x", 10.0)
         assert registry.is_quarantined("x", 10.0)
-        assert registry.is_quarantined("x", 69.0)
-        assert not registry.is_quarantined("x", 70.0)
+        assert registry.is_quarantined("x", 129.0)
+        assert not registry.is_quarantined("x", 130.0)
         stats = registry.stats("x")
         assert stats.breaker_opens == 2
         assert stats.quarantines == 1
@@ -91,18 +89,14 @@ class TestHealthRegistry:
         assert registry.total_quarantines == 1
 
     def test_quarantined_endpoints_listing(self):
-        registry = HealthRegistry(
-            quarantine_after_opens=1, quarantine_duration_s=60.0
-        )
+        registry = HealthRegistry(quarantine_after_opens=1)
         registry.record_breaker_open("b", 0.0)
         registry.record_breaker_open("a", 0.0)
         registry.record_failure("c", 0.0)
         assert registry.quarantined_endpoints(1.0) == ["a", "b"]
 
     def test_release_lifts_quarantine_early(self):
-        registry = HealthRegistry(
-            quarantine_after_opens=1, quarantine_duration_s=1e9
-        )
+        registry = HealthRegistry(quarantine_after_opens=1)
         registry.record_breaker_open("x", 0.0)
         assert registry.is_quarantined("x", 0.0)
         registry.release("x")
@@ -229,13 +223,23 @@ class TestModeRecovery:
         assert machine.deferred_uncaps == 2
 
 
+
 class TestModeConfigValidation:
+    """The posture thresholds are constants; their ordering still holds."""
+
     def test_safe_threshold_must_exceed_degraded(self):
-        with pytest.raises(ConfigurationError):
-            OperatingModeConfig(
-                degraded_after_invalid_cycles=4, safe_after_invalid_cycles=4
-            )
+        from repro.core.health import (
+            DEGRADED_AFTER_INVALID_CYCLES,
+            SAFE_AFTER_INVALID_CYCLES,
+        )
+
+        assert 1 <= DEGRADED_AFTER_INVALID_CYCLES < SAFE_AFTER_INVALID_CYCLES
+        machine = make_machine()
+        for i in range(SAFE_AFTER_INVALID_CYCLES):
+            machine.record_invalid_cycle(float(i))
+        assert machine.degraded_entries == 1 and machine.safe_entries == 1
 
     def test_recovery_run_must_be_positive(self):
-        with pytest.raises(ConfigurationError):
-            OperatingModeConfig(recovery_valid_cycles=0)
+        from repro.core.health import RECOVERY_VALID_CYCLES
+
+        assert RECOVERY_VALID_CYCLES >= 1

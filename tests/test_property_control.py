@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import RaplConfig, ThreeBandConfig
+from repro.config import ThreeBandConfig
 from repro.core.thresholds import control_thresholds_w
 from repro.server.rapl import RaplModule
 from repro.telemetry.timeseries import TimeSeries
@@ -89,7 +89,7 @@ def test_contractual_target_lands_above_parent_uncap(config, physical):
 )
 @settings(max_examples=200)
 def test_rapl_converges_to_target(demand, limit, initial):
-    rapl = RaplModule(RaplConfig(), min_cap_w=50.0, initial_power_w=initial)
+    rapl = RaplModule(min_cap_w=50.0, initial_power_w=initial)
     rapl.set_limit(max(limit, 50.0))
     for _ in range(30):
         rapl.step(demand, 1.0)
@@ -103,7 +103,7 @@ def test_rapl_converges_to_target(demand, limit, initial):
 )
 @settings(max_examples=100)
 def test_rapl_enforcement_moves_toward_target(demand, dt):
-    rapl = RaplModule(RaplConfig(), initial_power_w=200.0)
+    rapl = RaplModule(initial_power_w=200.0)
     before = rapl.enforced_power_w
     rapl.step(demand, dt)
     after = rapl.enforced_power_w

@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.config import CallPolicyConfig, CircuitBreakerConfig
 from repro.core.health import HealthRegistry
 from repro.errors import RpcError, RpcTimeoutError
-from repro.rpc.resilient import BreakerState, CircuitBreaker, ResilientTransport
+from repro.rpc.resilient import (
+    CONSECUTIVE_FAILURE_THRESHOLD,
+    BreakerState,
+    CircuitBreaker,
+    ResilientTransport,
+)
 from repro.rpc.transport import RpcTransport
 
 
@@ -18,13 +22,12 @@ class FakeClock:
 
 
 def make_resilient(
-    *, policy=None, breaker=None, health=None, rng=None, clock=None, seed=0
+    *, max_attempts=3, health=None, rng=None, clock=None, seed=0
 ):
     inner = RpcTransport(np.random.default_rng(seed))
     resilient = ResilientTransport(
         inner,
-        policy=policy,
-        breaker=breaker,
+        max_attempts=max_attempts,
         health=health,
         rng=rng,
         clock=clock,
@@ -84,47 +87,30 @@ class TestBackoffSchedule:
         assert delays_a == delays_b
 
     def test_jitter_bounded_around_exponential_schedule(self):
-        policy = CallPolicyConfig(
-            backoff_base_s=0.05,
-            backoff_multiplier=2.0,
-            backoff_max_s=1.0,
-            jitter_fraction=0.5,
-        )
-        resilient, _ = make_resilient(
-            policy=policy, rng=np.random.default_rng(11)
-        )
+        # 0.05 s doubling per retry up to 1 s, jittered by up to ±50%.
+        resilient, _ = make_resilient(rng=np.random.default_rng(11))
         for i in range(1, 8):
             pure = min(1.0, 0.05 * 2.0 ** (i - 1))
             delay = resilient.backoff_delay_s(i)
             assert pure * 0.5 <= delay <= pure * 1.5
 
     def test_no_rng_means_pure_exponential(self):
-        policy = CallPolicyConfig(
-            backoff_base_s=0.1, backoff_multiplier=3.0, backoff_max_s=10.0
-        )
-        resilient, _ = make_resilient(policy=policy, rng=None)
-        assert resilient.backoff_delay_s(1) == pytest.approx(0.1)
-        assert resilient.backoff_delay_s(2) == pytest.approx(0.3)
-        assert resilient.backoff_delay_s(3) == pytest.approx(0.9)
+        resilient, _ = make_resilient(rng=None)
+        assert resilient.backoff_delay_s(1) == pytest.approx(0.05)
+        assert resilient.backoff_delay_s(2) == pytest.approx(0.1)
+        assert resilient.backoff_delay_s(3) == pytest.approx(0.2)
 
     def test_backoff_capped_at_max(self):
-        policy = CallPolicyConfig(
-            backoff_base_s=0.5,
-            backoff_multiplier=4.0,
-            backoff_max_s=1.0,
-            jitter_fraction=0.0,
-        )
-        resilient, _ = make_resilient(
-            policy=policy, rng=np.random.default_rng(0)
-        )
-        assert resilient.backoff_delay_s(5) == pytest.approx(1.0)
+        # 0.05 * 2**5 = 1.6 s is past the 1 s ceiling.
+        resilient, _ = make_resilient(rng=None)
+        assert resilient.backoff_delay_s(5) == pytest.approx(0.8)
+        assert resilient.backoff_delay_s(6) == pytest.approx(1.0)
+        assert resilient.backoff_delay_s(9) == pytest.approx(1.0)
 
 
 class TestRetries:
     def test_retry_rescues_transient_failure(self):
-        resilient, inner = make_resilient(
-            policy=CallPolicyConfig(max_attempts=3)
-        )
+        resilient, inner = make_resilient(max_attempts=3)
         failures_left = [2]
 
         def handler(method, payload):
@@ -143,9 +129,7 @@ class TestRetries:
         assert stats.successes == 1
 
     def test_exhausted_retries_raise_last_error(self):
-        resilient, inner = make_resilient(
-            policy=CallPolicyConfig(max_attempts=3)
-        )
+        resilient, inner = make_resilient(max_attempts=3)
         resilient.register("x", lambda m, p: 1)
         resilient.injector.take_down("x")
         with pytest.raises(RpcError):
@@ -154,9 +138,8 @@ class TestRetries:
         assert resilient.health.stats("x").failures == 3
 
     def test_backoff_time_accounted(self):
-        resilient, _ = make_resilient(
-            policy=CallPolicyConfig(max_attempts=2, jitter_fraction=0.0)
-        )
+        # Without a jitter stream the one retry waits exactly 0.05 s.
+        resilient, _ = make_resilient(max_attempts=2)
         resilient.register("x", lambda m, p: 1)
         resilient.injector.take_down("x")
         with pytest.raises(RpcError):
@@ -166,12 +149,11 @@ class TestRetries:
 
 class TestDeadline:
     def test_slow_reply_is_a_timeout(self):
-        # A deadline below any plausible latency draw: every attempt's
+        # A latency spike far past the 1 s deadline: every attempt's
         # reply comes back "too late" and the call times out.
-        resilient, inner = make_resilient(
-            policy=CallPolicyConfig(deadline_s=1e-12, max_attempts=2)
-        )
+        resilient, inner = make_resilient(max_attempts=2)
         resilient.register("x", lambda m, p: 1)
+        resilient.injector.set_endpoint_faults("x", extra_latency_mean_s=1e9)
         with pytest.raises(RpcTimeoutError):
             resilient.call("x", "ping")
         assert inner.calls_made == 2
@@ -179,137 +161,103 @@ class TestDeadline:
         assert resilient.health.stats("x").failures == 2
 
     def test_generous_deadline_passes(self):
-        resilient, _ = make_resilient(
-            policy=CallPolicyConfig(deadline_s=1e9)
-        )
+        # Millisecond latencies sit far inside the 1 s deadline.
+        resilient, _ = make_resilient()
         resilient.register("x", lambda m, p: 1)
         assert resilient.call("x", "ping") == 1
 
 
 class TestCircuitBreakerUnit:
     def test_consecutive_failures_trip(self):
-        breaker = CircuitBreaker(
-            CircuitBreakerConfig(consecutive_failure_threshold=3)
-        )
-        assert breaker.record_failure(0.0) is False
-        assert breaker.record_failure(0.0) is False
+        # 12 attempt failures in a row trip the breaker.
+        breaker = CircuitBreaker()
+        for _ in range(CONSECUTIVE_FAILURE_THRESHOLD - 1):
+            assert breaker.record_failure(0.0) is False
         assert breaker.record_failure(0.0) is True
         assert breaker.state is BreakerState.OPEN
         assert breaker.opens == 1
 
     def test_success_resets_consecutive_count(self):
-        breaker = CircuitBreaker(
-            CircuitBreakerConfig(consecutive_failure_threshold=3)
-        )
-        breaker.record_failure(0.0)
-        breaker.record_failure(0.0)
+        breaker = CircuitBreaker()
+        for _ in range(CONSECUTIVE_FAILURE_THRESHOLD - 1):
+            breaker.record_failure(0.0)
         breaker.record_success(0.0)
-        breaker.record_failure(0.0)
-        breaker.record_failure(0.0)
+        for _ in range(CONSECUTIVE_FAILURE_THRESHOLD - 1):
+            breaker.record_failure(0.0)
         assert breaker.state is BreakerState.CLOSED
 
     def test_failure_rate_trips_without_consecutive_run(self):
-        breaker = CircuitBreaker(
-            CircuitBreakerConfig(
-                consecutive_failure_threshold=100,
-                failure_rate_threshold=0.5,
-                window_size=10,
-                min_samples=10,
-            )
-        )
-        # Alternate success/failure: never 2 in a row, but 50% over the
-        # 10-sample window once it fills.
-        for _ in range(5):
-            breaker.record_success(0.0)
-            tripped = breaker.record_failure(0.0)
-        assert tripped is True
+        # Fail, fail, succeed: never 3 in a row, but 2/3 >= 60% once
+        # the window holds its 25-sample minimum.
+        breaker = CircuitBreaker()
+        tripped_at = None
+        for attempt in range(1, 40):
+            if attempt % 3 == 0:
+                breaker.record_success(0.0)
+            elif breaker.record_failure(0.0):
+                tripped_at = attempt
+                break
+        assert tripped_at == 25
         assert breaker.state is BreakerState.OPEN
 
-    def test_open_rejects_until_duration_elapses(self):
-        breaker = CircuitBreaker(
-            CircuitBreakerConfig(
-                consecutive_failure_threshold=1, open_duration_s=10.0
-            )
-        )
-        breaker.record_failure(100.0)
-        assert not breaker.allow(105.0)
-        assert breaker.allow(110.0)
-        assert breaker.state is BreakerState.HALF_OPEN
-
     def test_half_open_probe_success_closes(self):
-        breaker = CircuitBreaker(
-            CircuitBreakerConfig(
-                consecutive_failure_threshold=1, open_duration_s=10.0
-            )
-        )
-        breaker.record_failure(0.0)
-        breaker.allow(10.0)
+        breaker = CircuitBreaker()
+        for _ in range(CONSECUTIVE_FAILURE_THRESHOLD):
+            breaker.record_failure(0.0)
+        breaker.half_open()
         breaker.record_success(10.0)
         assert breaker.state is BreakerState.CLOSED
         assert breaker.opened_at_s is None
 
     def test_half_open_probe_failure_reopens(self):
-        breaker = CircuitBreaker(
-            CircuitBreakerConfig(
-                consecutive_failure_threshold=1, open_duration_s=10.0
-            )
-        )
-        breaker.record_failure(0.0)
-        breaker.allow(10.0)
+        breaker = CircuitBreaker()
+        for _ in range(CONSECUTIVE_FAILURE_THRESHOLD):
+            breaker.record_failure(0.0)
+        breaker.half_open()
         # A re-open is not a full trip: opens stays 1.
         assert breaker.record_failure(10.0) is False
         assert breaker.state is BreakerState.OPEN
         assert breaker.opens == 1
         assert breaker.reopens == 1
-        assert not breaker.allow(15.0)
+        # The next call probes again.
+        breaker.half_open()
+        assert breaker.state is BreakerState.HALF_OPEN
 
     def test_zero_open_duration_probes_immediately(self):
-        breaker = CircuitBreaker(
-            CircuitBreakerConfig(
-                consecutive_failure_threshold=1, open_duration_s=0.0
-            )
-        )
-        breaker.record_failure(5.0)
-        assert breaker.allow(5.0)
+        breaker = CircuitBreaker()
+        for _ in range(CONSECUTIVE_FAILURE_THRESHOLD):
+            breaker.record_failure(5.0)
+        breaker.half_open()
         assert breaker.state is BreakerState.HALF_OPEN
+
+    def test_half_open_leaves_a_closed_breaker_alone(self):
+        breaker = CircuitBreaker()
+        breaker.half_open()
+        assert breaker.state is BreakerState.CLOSED
 
 
 class TestBreakerInTransport:
     def make_tripping(self, clock, **registry_kwargs):
         health = HealthRegistry(**registry_kwargs) if registry_kwargs else None
         resilient, inner = make_resilient(
-            policy=CallPolicyConfig(max_attempts=2),
-            breaker=CircuitBreakerConfig(
-                consecutive_failure_threshold=2, open_duration_s=60.0
-            ),
-            health=health,
-            clock=clock,
+            max_attempts=3, health=health, clock=clock
         )
         resilient.register("x", lambda m, p: 1)
         return resilient, inner
 
-    def test_open_breaker_fails_fast(self):
-        clock = FakeClock()
-        resilient, inner = self.make_tripping(clock)
-        resilient.injector.take_down("x")
-        # Both attempts fail; the second trips the breaker mid-call.
-        with pytest.raises(RpcError):
-            resilient.call("x", "ping")
+    @staticmethod
+    def trip(resilient):
+        """Call the downed endpoint until 12 failed attempts trip it."""
+        for _ in range(CONSECUTIVE_FAILURE_THRESHOLD // 3):
+            with pytest.raises(RpcError):
+                resilient.call("x", "ping")
         assert resilient.breaker_state("x") == "open"
-        made = inner.calls_made
-        with pytest.raises(RpcError, match="circuit open"):
-            resilient.call("x", "ping")
-        # Fast-fail: the wire was never touched.
-        assert inner.calls_made == made
-        assert resilient.health.stats("x").fast_fails == 1
 
     def test_half_open_gets_single_probe_then_reopens(self):
         clock = FakeClock()
         resilient, inner = self.make_tripping(clock)
         resilient.injector.take_down("x")
-        with pytest.raises(RpcError):
-            resilient.call("x", "ping")
-        clock.now = 60.0
+        self.trip(resilient)
         made = inner.calls_made
         with pytest.raises(RpcError):
             resilient.call("x", "ping")
@@ -322,29 +270,28 @@ class TestBreakerInTransport:
         clock = FakeClock()
         resilient, inner = self.make_tripping(clock)
         resilient.injector.take_down("x")
-        with pytest.raises(RpcError):
-            resilient.call("x", "ping")
+        self.trip(resilient)
         resilient.injector.restore("x")
-        clock.now = 60.0
         assert resilient.call("x", "ping") == 1
         assert resilient.breaker_state("x") == "closed"
 
     def test_quarantine_fails_fast_and_expires(self):
         clock = FakeClock()
-        resilient, inner = self.make_tripping(
-            clock, quarantine_after_opens=1, quarantine_duration_s=300.0
-        )
+        resilient, inner = self.make_tripping(clock, quarantine_after_opens=1)
         resilient.injector.take_down("x")
-        with pytest.raises(RpcError):
-            resilient.call("x", "ping")
+        self.trip(resilient)
         assert resilient.health.is_quarantined("x", clock.now)
         made = inner.calls_made
         with pytest.raises(RpcError, match="quarantined"):
             resilient.call("x", "ping")
         assert inner.calls_made == made
-        # Quarantine expires with the clock; the breaker then probes.
+        # Quarantine expires with the clock (120 s); the breaker then
+        # probes.
         resilient.injector.restore("x")
-        clock.now = 300.0
+        clock.now = 119.0
+        with pytest.raises(RpcError, match="quarantined"):
+            resilient.call("x", "ping")
+        clock.now = 120.0
         assert resilient.call("x", "ping") == 1
 
     def test_breaker_state_defaults_closed(self):

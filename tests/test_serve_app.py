@@ -402,6 +402,22 @@ class TestSnapshotRestore:
         )
         assert status == 400
 
+    @pytest.mark.parametrize("key, value", [("seed", 4), ("governed", False)])
+    def test_restore_rejects_edited_recipe(self, app, key, value):
+        sid = make_session(app, scenario="price-spike-day", seed=3)
+        call(app, "POST", f"/sessions/{sid}/step", {"dt_s": 60.0})
+        status, summary = call(
+            app, "POST", f"/sessions/{sid}/snapshot", {"include_state": True}
+        )
+        assert status == 200
+        envelope = summary["snapshot"]
+        envelope["recipe"]["kwargs"][key] = value
+        status, body = call(
+            app, "POST", f"/sessions/{sid}/restore", {"snapshot": envelope}
+        )
+        assert status == 400
+        assert "integrity" in body["error"]
+
     def test_restore_needs_exactly_one_source(self, app):
         sid = make_session(app)
         assert call(app, "POST", f"/sessions/{sid}/restore", {})[0] == 400

@@ -2,13 +2,12 @@
 
 import pytest
 
-from repro.config import RaplConfig
 from repro.errors import CappingError
 from repro.server.rapl import RaplModule
 
 
-def make_rapl(initial=200.0, **kwargs) -> RaplModule:
-    return RaplModule(RaplConfig(**kwargs), initial_power_w=initial)
+def make_rapl(initial=200.0) -> RaplModule:
+    return RaplModule(initial_power_w=initial)
 
 
 class TestLimitManagement:
@@ -25,14 +24,16 @@ class TestLimitManagement:
         assert not rapl.capped
 
     def test_rejects_limit_below_platform_minimum(self):
-        rapl = RaplModule(RaplConfig(), min_cap_w=100.0)
+        rapl = RaplModule(min_cap_w=100.0)
         with pytest.raises(CappingError):
             rapl.set_limit(80.0)
 
     def test_min_cap_respects_config_floor(self):
-        rapl = RaplModule(RaplConfig(min_limit_w=60.0), min_cap_w=0.0)
+        # RAPL's own 50 W floor holds whatever the platform allows.
+        rapl = RaplModule(min_cap_w=0.0)
+        rapl.set_limit(50.0)
         with pytest.raises(CappingError):
-            rapl.set_limit(50.0)
+            rapl.set_limit(49.0)
 
 
 class TestDynamics:

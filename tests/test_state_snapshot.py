@@ -273,6 +273,22 @@ class TestEnvelope:
         with pytest.raises(SnapshotIntegrityError):
             WorldSnapshot.load(path)
 
+    @pytest.fixture(scope="class")
+    def econ_envelope(self):
+        world = named_world("price-spike-day", seed=3)
+        world.run_until(60.0)
+        return SnapshotRegistry().capture(world).to_envelope()
+
+    @pytest.mark.parametrize("key, value", [("seed", 4), ("governed", False)])
+    def test_edited_recipe_is_rejected(self, econ_envelope, key, value):
+        # The recipe rebuilds the world the state is restored into: an
+        # edited seed or governor flag fails the integrity hash.
+        envelope = json.loads(json.dumps(econ_envelope))
+        assert envelope["recipe"]["kwargs"][key] != value
+        envelope["recipe"]["kwargs"][key] = value
+        with pytest.raises(SnapshotIntegrityError):
+            WorldSnapshot.from_envelope(envelope)
+
     def test_arbitrary_json_is_rejected(self, tmp_path):
         path = tmp_path / "other.json"
         path.write_text('{"hello": "world"}')
@@ -315,8 +331,8 @@ class TestMalformedRecipes:
         ],
     )
     def test_malformed_envelope_is_refused(self, damage, named):
-        # The integrity hash covers the state only: the envelope's other
-        # fields are checked by shape, each refusal a SnapshotError.
+        # The envelope's fields are checked by shape before the
+        # integrity hash, each refusal a SnapshotError naming its field.
         world = named_world("sb-outage", seed=7)
         world.run_until(9.0)
         envelope = SnapshotRegistry().capture(world).to_envelope()
@@ -327,9 +343,11 @@ class TestMalformedRecipes:
     def test_chaos_recipe_without_scenario_is_refused(self):
         world = named_world("sb-outage", seed=7)
         world.run_until(9.0)
-        envelope = SnapshotRegistry().capture(world).to_envelope()
-        del envelope["recipe"]["kwargs"]["scenario"]
-        snapshot = WorldSnapshot.from_envelope(envelope)
+        snapshot = SnapshotRegistry().capture(world)
+        sealed = dataclasses.replace(
+            snapshot, recipe={"builder": "chaos", "kwargs": {"seed": 7}}
+        )
+        snapshot = WorldSnapshot.from_envelope(sealed.to_envelope())
         with pytest.raises(SnapshotError, match="scenario"):
             SnapshotRegistry().restore(snapshot)
 

@@ -298,17 +298,14 @@ class TestTickTraceRender:
         assert "0.123" not in rendered
         assert "rpp0" in rendered
 
-    def test_stale_and_mode_suffixes_only_when_nondefault(self):
+    def test_mode_suffix_only_when_nondefault(self):
         # Parity contract: the default render is byte-identical to the
-        # pre-resilience format; the new fields only show when set.
+        # pre-resilience format; the mode only shows when set.
         plain = TraceBuilder(
             time_s=3.0, controller="rpp0", kind="leaf"
         ).finish()
-        assert " stale=" not in plain.render()
         assert " mode=" not in plain.render()
         tagged = TraceBuilder(
-            time_s=3.0, controller="rpp0", kind="leaf",
-            pulls_stale=2, mode="degraded",
+            time_s=3.0, controller="rpp0", kind="leaf", mode="degraded",
         ).finish()
-        assert "stale=2" in tagged.render()
         assert "mode=degraded" in tagged.render()

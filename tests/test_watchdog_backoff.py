@@ -1,4 +1,9 @@
-"""Tests for watchdog restart backoff and the restart budget."""
+"""Tests for watchdog restart backoff and the restart budget.
+
+The watchdog sweeps every 30 s; the n-th consecutive restart of one
+agent waits ``30 * 2**(n-1)`` s (at most 480 s) before the next, and one
+agent gets at most 8 restarts per 900 s window.
+"""
 
 from repro.core.watchdog import AgentWatchdog
 from repro.simulation.engine import SimulationEngine
@@ -24,18 +29,16 @@ class _RecoveringAgent(_CrashLoopAgent):
         self.healthy = True
 
 
-def make_watchdog(engine, agents, **kwargs):
-    defaults = dict(
-        interval_s=30.0,
-        backoff_base_s=30.0,
-        backoff_max_s=480.0,
-        restart_budget=8,
-        budget_window_s=900.0,
-    )
-    defaults.update(kwargs)
-    watchdog = AgentWatchdog(engine, agents, **defaults)
+def make_watchdog(engine, agents):
+    watchdog = AgentWatchdog(engine, agents)
     watchdog.start()
     return watchdog
+
+
+def flap(engine, agent, times):
+    """Crash ``agent`` at each of ``times`` (it recovers on restart)."""
+    for time_s in times:
+        engine.schedule_at(time_s, lambda: setattr(agent, "healthy", False))
 
 
 class TestBackoff:
@@ -54,16 +57,14 @@ class TestBackoff:
     def test_backoff_capped_at_max(self):
         engine = SimulationEngine()
         agent = _CrashLoopAgent("s0")
-        watchdog = make_watchdog(
-            engine, [agent], backoff_max_s=60.0, budget_window_s=1e9
-        )
-        engine.run_until(600.0)
+        watchdog = make_watchdog(engine, [agent])
+        engine.run_until(2000.0)
         gaps = [
             b.time_s - a.time_s
             for a, b in zip(watchdog.restart_log, watchdog.restart_log[1:])
         ]
-        # After the ladder reaches the cap every gap is 60 s.
-        assert gaps[-3:] == [60.0, 60.0, 60.0]
+        # 30, 60, 120, 240 s, then every gap is the 480 s cap.
+        assert gaps == [30.0, 60.0, 120.0, 240.0, 480.0, 480.0, 480.0]
 
     def test_healthy_sighting_resets_ladder(self):
         engine = SimulationEngine()
@@ -90,36 +91,30 @@ class TestBackoff:
 
 class TestRestartBudget:
     def test_budget_suppresses_runaway_restarts(self):
+        # A flapping agent is healthy at every other sweep, so each
+        # healthy sighting resets its backoff ladder — only the budget
+        # bounds it: 8 restarts (t=0, 60, ..., 420), then suppression.
         engine = SimulationEngine()
-        agent = _CrashLoopAgent("s0")
-        watchdog = make_watchdog(
-            engine,
-            [agent],
-            backoff_base_s=0.0,
-            restart_budget=3,
-            budget_window_s=1e9,
-        )
-        engine.run_until(600.0)
-        assert agent.restart_count == 3
-        assert watchdog.restarts == 3
+        agent = _RecoveringAgent("s0")
+        flap(engine, agent, [31.0 + 60.0 * k for k in range(14)])
+        watchdog = make_watchdog(engine, [agent])
+        engine.run_until(890.0)
+        assert agent.restart_count == 8
+        assert watchdog.restarts == 8
         assert watchdog.restarts_suppressed > 0
+        assert watchdog.backoff_deferrals == 0
 
     def test_budget_window_rolls_over(self):
         engine = SimulationEngine()
-        agent = _CrashLoopAgent("s0")
-        watchdog = make_watchdog(
-            engine,
-            [agent],
-            backoff_base_s=0.0,
-            restart_budget=2,
-            budget_window_s=120.0,
-        )
-        engine.run_until(299.0)
-        # Two restarts per 120 s window: t=0,30 | suppressed 60,90 |
-        # new window at 120: restarts 120,150 | suppressed | 240,270.
+        agent = _RecoveringAgent("s0")
+        flap(engine, agent, [31.0 + 60.0 * k for k in range(20)])
+        watchdog = make_watchdog(engine, [agent])
+        engine.run_until(1000.0)
+        # Eight restarts t=0..420 | suppressed 480..870 (the agent
+        # stays down) | new window at 900: restarts resume.
         times = [r.time_s for r in watchdog.restart_log]
-        assert times == [0.0, 30.0, 120.0, 150.0, 240.0, 270.0]
-        assert watchdog.restarts_suppressed == 4
+        assert times == [60.0 * k for k in range(8)] + [900.0, 960.0]
+        assert watchdog.restarts_suppressed == 14
 
 
 class TestSweepVisitsOnlyWhoItCouldActOn:
@@ -147,7 +142,6 @@ class TestSweepVisitsOnlyWhoItCouldActOn:
 
         def arm(world, crashes: list[tuple[float, str]]) -> None:
             watchdog = world.dynamo.watchdog
-            watchdog._restart_budget = 3
             if poll_everyone:
                 watchdog._polled = list(watchdog._position)
             for time_s, server_id in crashes:
@@ -157,13 +151,15 @@ class TestSweepVisitsOnlyWhoItCouldActOn:
 
         # ``once`` crashes a single time; ``flapper`` crashes again
         # after some repairs (a healthy sighting resets its ladder in
-        # between); ``looper`` dies one second after every sweep, up
-        # its backoff ladder and through its restart budget.
+        # between); ``looper`` dies one second after every sweep up its
+        # backoff ladder, then after every other sweep (a restart, a
+        # healthy sighting, a crash) through its restart budget.
         arm(
             world,
             [(10.0, once)]
             + [(t, flapper) for t in (40.0, 100.0, 220.0, 700.0)]
-            + [(31.0 + 30.0 * k, looper) for k in range(32)],
+            + [(31.0 + 30.0 * k, looper) for k in range(5)]
+            + [(301.0 + 60.0 * k, looper) for k in range(12)],
         )
         world.run_until(1000.0)
         # A snapshot round trip mid-campaign (looper down, on its
